@@ -72,7 +72,9 @@ use crate::error::CoreError;
 use crate::query::JoinQuery;
 use crate::statistics::StatisticsSet;
 use lpb_data::Catalog;
-use lpb_lp::{solve_sparse_with_handle, LpError, SolverKind, SolverOptions, WarmHandle};
+use lpb_lp::{
+    solve_sparse_with_handle, LpError, SolverKind, SolverOptions, SolverStats, WarmHandle,
+};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -288,7 +290,10 @@ impl BatchEstimator {
     /// Largest cached snapshot whose statistic shape is a strict multiset
     /// subset of `shape` and whose matrix actually embeds into `problem`
     /// (checked row-for-row by [`WarmHandle::matches_superset`]).  Growing
-    /// the biggest subset appends the fewest rows.
+    /// the biggest subset appends the fewest rows.  Equal-sized candidates
+    /// are tried in the order of their statistic multisets, never in the
+    /// map's (per-process random) iteration order, so the choice — and the
+    /// pivots it costs — is the same on every run.
     ///
     /// The cache mutex is held only while collecting candidate handles; the
     /// per-candidate matrix comparisons run on cloned `Arc`s after it is
@@ -298,7 +303,7 @@ impl BatchEstimator {
         shape: &LpShape,
         problem: &lpb_lp::Problem,
     ) -> Option<Arc<WarmHandle>> {
-        let mut candidates: Vec<(usize, Arc<WarmHandle>)> = {
+        let mut candidates: Vec<(LpShape, Arc<WarmHandle>)> = {
             let handles = self
                 .cache
                 .handles
@@ -312,10 +317,16 @@ impl BatchEstimator {
                         && k.stats.len() < shape.stats.len()
                         && is_sorted_multiset_subset(&k.stats, &shape.stats)
                 })
-                .map(|(k, h)| (k.stats.len(), Arc::clone(h)))
+                .map(|(k, h)| (k.clone(), Arc::clone(h)))
                 .collect()
         };
-        candidates.sort_by_key(|(len, _)| std::cmp::Reverse(*len));
+        // Largest first; equal sizes in statistic-multiset order.
+        candidates.sort_by(|(a, _), (b, _)| {
+            b.stats
+                .len()
+                .cmp(&a.stats.len())
+                .then_with(|| a.stats.cmp(&b.stats))
+        });
         candidates
             .into_iter()
             .map(|(_, h)| h)
@@ -433,7 +444,25 @@ impl BatchEstimator {
             solution_to_result(&solution, &item.stats, cone)
         };
         if self.parallel && items.len() > 1 {
-            items.par_iter().map(run_one).collect()
+            // Solver work counted on worker threads is handed back with
+            // each item and credited to the calling thread once, so a
+            // thread-local delta around `estimate` covers the whole batch.
+            let caller = std::thread::current().id();
+            let runs: Vec<_> = items
+                .par_iter()
+                .map(|item| {
+                    let (result, work) = SolverStats::on_thread(|| run_one(item));
+                    (result, work, std::thread::current().id())
+                })
+                .collect();
+            runs.into_iter()
+                .map(|(result, work, thread)| {
+                    if thread != caller {
+                        work.credit_to_thread();
+                    }
+                    result
+                })
+                .collect()
         } else {
             items.iter().map(run_one).collect()
         }
@@ -1012,6 +1041,62 @@ mod tests {
             .estimate(&[BatchItem::new(query.clone(), variant)]);
         let (a, b) = (again[0].as_ref().unwrap(), cold_again[0].as_ref().unwrap());
         assert!((a.log2_bound - b.log2_bound).abs() < 1e-9);
+    }
+
+    /// Equal-sized grown candidates are tried in a fixed order: two fresh
+    /// estimators running the same batch — three one-extra-statistic
+    /// shapes, then their union, which can grow from any of the three —
+    /// do the same solver work.
+    #[test]
+    fn grown_warm_starts_pick_the_same_candidate_every_run() {
+        let catalog = catalog();
+        let query = JoinQuery::path(&["E", "E"]);
+        let base =
+            collect_simple_statistics(&query, &catalog, &CollectConfig::with_max_norm(2)).unwrap();
+        let extras = [
+            ConcreteStatistic::new(
+                Conditional::new(query.atom_vars(0), lpb_entropy::VarSet::EMPTY),
+                Norm::L1,
+                0,
+                2.5,
+            ),
+            ConcreteStatistic::new(
+                Conditional::new(query.atom_vars(1), lpb_entropy::VarSet::EMPTY),
+                Norm::L1,
+                1,
+                3.0,
+            ),
+            ConcreteStatistic::new(
+                Conditional::new(query.atom_vars(0), lpb_entropy::VarSet::EMPTY),
+                Norm::L2,
+                0,
+                2.0,
+            ),
+        ];
+        let with = |extra: &[ConcreteStatistic]| {
+            let mut stats = base.as_slice().to_vec();
+            stats.extend_from_slice(extra);
+            BatchItem::new(query.clone(), StatisticsSet::from_vec(stats))
+        };
+        let run = || {
+            let est = BatchEstimator::new().sequential();
+            let (bound, work) = SolverStats::on_thread(|| {
+                for extra in &extras {
+                    est.estimate(&[with(std::slice::from_ref(extra))])[0]
+                        .as_ref()
+                        .unwrap();
+                }
+                let hits = est.shape_cache_hits();
+                let union = est.estimate(&[with(&extras)]);
+                assert_eq!(est.shape_cache_hits(), hits + 1, "the union grows");
+                union[0].as_ref().unwrap().log2_bound
+            });
+            (bound.to_bits(), work)
+        };
+        let first = run();
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     /// Polymatroid items past the materialization limit route through lazy

@@ -46,6 +46,20 @@ struct StatsCache {
     exact: HashSet<StatsKey>,
 }
 
+impl StatsCache {
+    /// See [`Catalog::record_statistic`].
+    fn record(&mut self, key: StatsKey, value: f64, exact: bool) -> bool {
+        if !exact && self.exact.contains(&key) {
+            return false;
+        }
+        if exact {
+            self.exact.insert(key.clone());
+        }
+        self.values.insert(key, value);
+        true
+    }
+}
+
 /// Cache key identifying one concrete statistic
 /// `‖deg_R(V | U)‖_p` of one relation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -160,21 +174,65 @@ impl Catalog {
         u: &[&str],
         norm: Norm,
     ) -> Result<f64, DataError> {
-        let key = StatsKey::new(relation, v, u, norm);
-        if let Some(&cached) = self
-            .stats
-            .read()
-            .expect("statistics cache lock poisoned")
-            .values
-            .get(&key)
-        {
-            return Ok(cached);
+        Ok(self.log_norms(relation, v, u, &[norm])?[0])
+    }
+
+    /// `log₂ ‖deg_R(V | U)‖_p` for every norm in `norms`, in order — the
+    /// multi-norm form of [`log_norm`](Self::log_norm).  Cached values are
+    /// served as they are; when any norm misses, the degree sequence is
+    /// computed **once** and every missing norm is derived from it and
+    /// recorded as a non-exact write (refused over exact observed entries,
+    /// see [`record_statistic`](Self::record_statistic)).
+    pub fn log_norms(
+        &self,
+        relation: &str,
+        v: &[&str],
+        u: &[&str],
+        norms: &[Norm],
+    ) -> Result<Vec<f64>, DataError> {
+        let keys: Vec<StatsKey> = norms
+            .iter()
+            .map(|&norm| StatsKey::new(relation, v, u, norm))
+            .collect();
+        self.cached_or_derive(&keys, || {
+            let deg = self.get(relation)?.degree_sequence(v, u)?;
+            Ok(norms
+                .iter()
+                .map(|&norm| deg.log2_lp_norm(norm).unwrap_or(0.0))
+                .collect())
+        })
+    }
+
+    /// The cache-first read behind every statistic lookup: the cached value
+    /// of each key, or — when any key misses — the values `derive` computes
+    /// for all keys (one call), with every miss recorded as a non-exact
+    /// write.  A miss whose write is refused (an exact entry raced in)
+    /// still returns the derived value, as a single-key lookup always has.
+    pub(crate) fn cached_or_derive(
+        &self,
+        keys: &[StatsKey],
+        derive: impl FnOnce() -> Result<Vec<f64>, DataError>,
+    ) -> Result<Vec<f64>, DataError> {
+        let cached: Vec<Option<f64>> = {
+            let stats = self.stats.read().expect("statistics cache lock poisoned");
+            keys.iter().map(|k| stats.values.get(k).copied()).collect()
+        };
+        if cached.iter().all(Option::is_some) {
+            return Ok(cached.into_iter().flatten().collect());
         }
-        let rel = self.get(relation)?;
-        let deg = rel.degree_sequence(v, u)?;
-        let value = deg.log2_lp_norm(norm).unwrap_or(0.0);
-        self.record_statistic(key, value, false);
-        Ok(value)
+        let derived = derive()?;
+        assert_eq!(derived.len(), keys.len(), "one derived value per key");
+        let mut stats = self.stats.write().expect("statistics cache lock poisoned");
+        for ((key, hit), &value) in keys.iter().zip(&cached).zip(&derived) {
+            if hit.is_none() {
+                stats.record(key.clone(), value, false);
+            }
+        }
+        Ok(cached
+            .into_iter()
+            .zip(derived)
+            .map(|(hit, value)| hit.unwrap_or(value))
+            .collect())
     }
 
     /// Write one statistic into the cache.  Non-exact writes (recomputed
@@ -183,15 +241,10 @@ impl Catalog {
     /// returns `false` and keeps the exact entry.  Exact writes always land
     /// and flag the key exact.
     pub fn record_statistic(&self, key: StatsKey, value: f64, exact: bool) -> bool {
-        let mut stats = self.stats.write().expect("statistics cache lock poisoned");
-        if !exact && stats.exact.contains(&key) {
-            return false;
-        }
-        if exact {
-            stats.exact.insert(key.clone());
-        }
-        stats.values.insert(key, value);
-        true
+        self.stats
+            .write()
+            .expect("statistics cache lock poisoned")
+            .record(key, value, exact)
     }
 
     /// Number of cached statistics (for tests and instrumentation).

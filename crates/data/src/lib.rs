@@ -49,7 +49,7 @@ pub use degree::DegreeSequence;
 pub use error::DataError;
 pub use index::HashIndex;
 pub use norms::Norm;
-pub use relation::Relation;
+pub use relation::{DegreeRuns, Relation};
 pub use schema::{AttrId, Schema};
 pub use snapshot::{SnapshotCatalog, SnapshotReader};
 pub use stats::{StatisticEntry, StatisticsCollector};

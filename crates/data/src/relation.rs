@@ -1,4 +1,12 @@
 //! Columnar relation storage with set semantics.
+//!
+//! Every degree statistic of a relation comes from one kernel,
+//! [`Relation::degree_runs`]: a single sort of flat `u64` keys (or of row
+//! indices, for wide conditionals) per degree conditional `(V | U)`, with no
+//! per-row allocation.  A degree sequence costs one sort; collecting all of
+//! a relation's simple statistics costs one sort per attribute (see
+//! [`crate::stats`]); and the degree partitions of `lpb-exec` reuse the
+//! same runs to cut their parts with [`Relation::split_rows`].
 
 use crate::degree::DegreeSequence;
 use crate::error::DataError;
@@ -161,8 +169,23 @@ impl Relation {
     /// sizes in non-increasing order.
     ///
     /// When `U` is empty the bipartite graph has a single `U`-node, so the
-    /// sequence is the single value `|Π_V(R)|`.
+    /// sequence is the single value `|Π_V(R)|`.  Costs one sort (see
+    /// [`degree_runs`](Self::degree_runs)).
     pub fn degree_sequence(&self, v: &[&str], u: &[&str]) -> Result<DegreeSequence, DataError> {
+        Ok(self.degree_runs(v, u)?.sequence())
+    }
+
+    /// The degree kernel behind every degree statistic: **one sort** of the
+    /// rows by `(U, V)`, walked once to find each distinct `U`-value's rows
+    /// and its degree (the number of distinct `V`-values it pairs with).
+    ///
+    /// Nothing is allocated per row: when `|U| ≤ 1` and `|V| = 1` — every
+    /// simple conditional of a binary relation — the sort runs over packed
+    /// `(u, v, row)` keys read straight from the columns; otherwise it sorts
+    /// row indices, comparing the `U` columns and then the `V` columns.
+    /// Duplicate `(U, V)` pairs count once (set semantics), and an empty `U`
+    /// yields a single run of degree `|Π_V(R)|` (for a non-empty relation).
+    pub fn degree_runs(&self, v: &[&str], u: &[&str]) -> Result<DegreeRuns, DataError> {
         if v.is_empty() {
             return Err(DataError::InvalidConditional {
                 reason: "the dependent attribute set V of deg(V | U) must be non-empty".into(),
@@ -170,29 +193,95 @@ impl Relation {
         }
         let u_pos = self.schema.positions(u.iter().copied())?;
         let v_pos = self.schema.positions(v.iter().copied())?;
+        if let ([], [v]) | ([_], [v]) = (u_pos.as_slice(), v_pos.as_slice()) {
+            let u_col = u_pos.first().map(|&a| self.column(a));
+            let mut keys: Vec<(u64, u64, usize)> = self.columns[*v]
+                .iter()
+                .enumerate()
+                .map(|(row, &val)| (u_col.map_or(0, |c| c[row]), val, row))
+                .collect();
+            keys.sort_unstable();
+            let runs = DegreeRuns::walk(
+                keys.len(),
+                |a, b| keys[a].0 == keys[b].0,
+                |a, b| keys[a].1 == keys[b].1,
+            );
+            return Ok(DegreeRuns {
+                order: keys.into_iter().map(|k| k.2).collect(),
+                runs,
+            });
+        }
+        let mut order: Vec<usize> = (0..self.n_rows).collect();
+        order.sort_unstable_by(|&a, &b| {
+            self.cmp_rows_on(&u_pos, a, b)
+                .then_with(|| self.cmp_rows_on(&v_pos, a, b))
+        });
+        let runs = DegreeRuns::walk(
+            order.len(),
+            |a, b| self.cmp_rows_on(&u_pos, order[a], order[b]).is_eq(),
+            |a, b| self.cmp_rows_on(&v_pos, order[a], order[b]).is_eq(),
+        );
+        Ok(DegreeRuns { order, runs })
+    }
 
-        // Deduplicated projection onto U ∪ V, keyed as (U-part, V-part).
-        let mut pairs: Vec<(Vec<u64>, Vec<u64>)> = (0..self.n_rows)
-            .map(|r| (self.key(r, &u_pos), self.key(r, &v_pos)))
+    /// Split the rows into parts: row `r` goes to part `part_of[r]`, and
+    /// part `i` is named `names[i]` and keeps this relation's schema.  Every
+    /// part lists its rows the way [`RelationBuilder`](crate::RelationBuilder)
+    /// would — sorted, with duplicate rows kept once — so a part equals the
+    /// relation a builder fed the same rows produces.  One pass over the
+    /// columns; the rows are sorted only when this relation is not already
+    /// in builder order.
+    ///
+    /// # Panics
+    /// When `part_of` does not have one entry per row or names a part past
+    /// `names`.
+    pub fn split_rows(&self, names: Vec<String>, part_of: &[usize]) -> Vec<Relation> {
+        assert_eq!(part_of.len(), self.n_rows, "one part index per row");
+        let all: Vec<AttrId> = (0..self.arity()).collect();
+        // Size every part's columns up front: parts often outlive the split
+        // (plans carry them), so they should not keep growth slack.
+        let mut sizes = vec![0; names.len()];
+        for &part in part_of {
+            sizes[part] += 1;
+        }
+        let mut parts: Vec<Relation> = names
+            .into_iter()
+            .zip(sizes)
+            .map(|(name, size)| Relation {
+                name,
+                schema: self.schema.clone(),
+                columns: (0..self.arity())
+                    .map(|_| Vec::with_capacity(size))
+                    .collect(),
+                n_rows: 0,
+            })
             .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        if u.is_empty() {
-            return Ok(DegreeSequence::from_counts(vec![pairs.len() as u64]));
-        }
-
-        let mut counts = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                j += 1;
+        let push = |row: usize| {
+            let part = &mut parts[part_of[row]];
+            for (col, values) in part.columns.iter_mut().zip(&self.columns) {
+                col.push(values[row]);
             }
-            counts.push((j - i) as u64);
-            i = j;
+            part.n_rows += 1;
+        };
+        let in_builder_order = (1..self.n_rows).all(|r| self.cmp_rows_on(&all, r - 1, r).is_lt());
+        if in_builder_order {
+            (0..self.n_rows).for_each(push);
+        } else {
+            let mut order: Vec<usize> = (0..self.n_rows).collect();
+            order.sort_unstable_by(|&a, &b| self.cmp_rows_on(&all, a, b));
+            order.dedup_by(|a, b| self.cmp_rows_on(&all, *a, *b).is_eq());
+            order.into_iter().for_each(push);
         }
-        Ok(DegreeSequence::from_counts(counts))
+        parts
+    }
+
+    /// Compare rows `a` and `b` lexicographically on the given columns.
+    fn cmp_rows_on(&self, attrs: &[AttrId], a: usize, b: usize) -> std::cmp::Ordering {
+        attrs
+            .iter()
+            .map(|&c| self.columns[c][a].cmp(&self.columns[c][b]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 
     fn from_sorted_rows(name: String, schema: Schema, rows: Vec<Vec<u64>>) -> Relation {
@@ -209,6 +298,59 @@ impl Relation {
             n_rows: rows.len(),
             columns,
         }
+    }
+}
+
+/// The rows of a relation grouped by their `U`-value for one conditional
+/// `(V | U)`, as [`Relation::degree_runs`] computes them with a single sort:
+/// one *run* per distinct `U`-value, in ascending `U` order, each holding
+/// its rows and its degree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DegreeRuns {
+    /// Row indices sorted by `(U, V)`; each run is a contiguous slice.
+    order: Vec<usize>,
+    /// Per run: its end offset into `order` and its degree.
+    runs: Vec<(usize, u64)>,
+}
+
+impl DegreeRuns {
+    /// The runs in ascending `U` order: each `U`-value's degree and its row
+    /// indices (every row carrying that `U`-value, duplicates included).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[usize])> + '_ {
+        let starts = std::iter::once(0).chain(self.runs.iter().map(|&(end, _)| end));
+        starts
+            .zip(&self.runs)
+            .map(move |(start, &(end, degree))| (degree, &self.order[start..end]))
+    }
+
+    /// The degree sequence `deg_R(V | U)`: the runs' degrees, non-increasing.
+    pub fn sequence(&self) -> DegreeSequence {
+        DegreeSequence::from_counts(self.runs.iter().map(|&(_, d)| d).collect())
+    }
+
+    /// Split `n` sorted keys into runs of equal `U` and count each run's
+    /// distinct `V`-values; the predicates compare the keys at two sorted
+    /// positions.  Returns each run's end position and degree.
+    fn walk(
+        n: usize,
+        same_u: impl Fn(usize, usize) -> bool,
+        same_v: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, u64)> {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let mut degree = 1;
+            let mut end = start + 1;
+            while end < n && same_u(start, end) {
+                if !same_v(end - 1, end) {
+                    degree += 1;
+                }
+                end += 1;
+            }
+            runs.push((end, degree));
+            start = end;
+        }
+        runs
     }
 }
 

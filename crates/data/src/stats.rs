@@ -15,8 +15,15 @@
 //!
 //! After [`StatisticsCollector::materialize_catalog`] runs, every plan-time
 //! statistics harvest over base relations is a pure hash-map lookup.
+//!
+//! **Cost.** Collecting one relation of arity `k ≥ 2` sorts it `k` times —
+//! once per attribute `x`, for `deg(rest | x)` — however many norms are
+//! configured: every norm, `|Π_x R|` (the sequence's length) and `|R|` (its
+//! sum) are derived from that one sequence.  A unary relation costs one
+//! sort.  Statistics already cached are not recomputed.
 
 use crate::catalog::{Catalog, StatsKey};
+use crate::degree::DegreeSequence;
 use crate::error::DataError;
 use crate::norms::Norm;
 use std::collections::HashMap;
@@ -101,35 +108,73 @@ impl StatisticsCollector {
     /// Per attribute `x` this records `‖deg(rest | x)‖_p` for every
     /// configured norm (the degree conditionals), plus the ℓ1 cardinalities
     /// `‖deg(all | ∅)‖₁ = |R|` and `‖deg({x} | ∅)‖₁ = |Π_x R|`.
+    ///
+    /// **Cost: one sort per attribute.**  Every value recorded for `x` is
+    /// derived from the single sequence `deg(rest | x)` — its norms, its
+    /// length `|Π_x R|`, and (for the first attribute) its sum `|R|` — so a
+    /// binary relation costs two sorts whatever the norm count, and a unary
+    /// one a single sort.  Reads are cache-first per statistic and writes
+    /// never overwrite exact observed entries (see [`Catalog::log_norms`]);
+    /// when every statistic of an attribute is cached, nothing is sorted.
     pub fn materialize_relation(
         &self,
         catalog: &Catalog,
         relation: &str,
     ) -> Result<StatisticsSet, DataError> {
         let rel = catalog.get(relation)?;
-        let attrs: Vec<String> = rel.schema().attrs().to_vec();
-        let all: Vec<&str> = attrs.iter().map(String::as_str).collect();
+        let attrs: Vec<&str> = rel.schema().attrs().iter().map(String::as_str).collect();
+        let all_key = StatsKey::new(relation, &attrs, &[], Norm::L1);
         let mut out = StatisticsSet::default();
 
-        let b = catalog.log_norm(relation, &all, &[], Norm::L1)?;
-        out.push(StatsKey::new(relation, &all, &[], Norm::L1), b);
-
-        for x in &attrs {
-            let x_ref = [x.as_str()];
-            let b = catalog.log_norm(relation, &x_ref, &[], Norm::L1)?;
-            out.push(StatsKey::new(relation, &x_ref, &[], Norm::L1), b);
-
-            let rest: Vec<&str> = attrs
-                .iter()
-                .filter(|a| *a != x)
-                .map(String::as_str)
-                .collect();
-            if rest.is_empty() {
-                continue;
+        if attrs.len() < 2 {
+            // No degree conditional: |R| = |Π_x R| is the whole statistic
+            // set (and an empty schema is reported by the lookup).
+            let card = catalog.log_norms(relation, &attrs, &[], &[Norm::L1])?[0];
+            out.push(all_key, card);
+            for x in &attrs {
+                out.push(StatsKey::new(relation, &[x], &[], Norm::L1), card);
             }
-            for &norm in &self.norms {
-                let b = catalog.log_norm(relation, &rest, &x_ref, norm)?;
-                out.push(StatsKey::new(relation, &rest, &x_ref, norm), b);
+            return Ok(out);
+        }
+
+        // The ℓ1 norm of a one-entry sequence, exactly as `log_norm`
+        // computes the cardinality statistics `(… | ∅)`.
+        let cardinality = |n: u64| {
+            DegreeSequence::from_counts(vec![n])
+                .log2_lp_norm(Norm::L1)
+                .unwrap_or(0.0)
+        };
+        for (i, x) in attrs.iter().enumerate() {
+            let x_ref = [*x];
+            let rest: Vec<&str> = attrs.iter().copied().filter(|a| a != x).collect();
+            // In collection order: |R| (first attribute only), |Π_x R|, and
+            // the degree norms.
+            let mut keys = Vec::new();
+            if i == 0 {
+                keys.push(all_key.clone());
+            }
+            keys.push(StatsKey::new(relation, &x_ref, &[], Norm::L1));
+            keys.extend(
+                self.norms
+                    .iter()
+                    .map(|&norm| StatsKey::new(relation, &rest, &x_ref, norm)),
+            );
+            let values = catalog.cached_or_derive(&keys, || {
+                let deg = rel.degree_sequence(&rest, &x_ref)?;
+                let mut values = Vec::with_capacity(keys.len());
+                if i == 0 {
+                    values.push(cardinality(deg.total()));
+                }
+                values.push(cardinality(deg.len() as u64));
+                values.extend(
+                    self.norms
+                        .iter()
+                        .map(|&norm| deg.log2_lp_norm(norm).unwrap_or(0.0)),
+                );
+                Ok(values)
+            })?;
+            for (key, value) in keys.into_iter().zip(values) {
+                out.push(key, value);
             }
         }
         Ok(out)

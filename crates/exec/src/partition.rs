@@ -19,10 +19,17 @@
 //! few distinct `U`-values (small ℓ1 on the conditioning side), and the
 //! planner bounds and plans each part independently before executing them
 //! under a [`crate::PhysicalNode::PartitionedUnion`].
+//!
+//! All three splits share the degree kernel of `lpb-data`
+//! ([`Relation::degree_runs`]): **one sort** of the relation by `(U, V)`
+//! yields every `U`-value's rows and degree, each part's maximum degree and
+//! `U`-count are read off those runs, and the parts are cut from the
+//! relation's columns by [`Relation::split_rows`] — no per-row keys, no
+//! hash grouping, and no second scan of any part.
 
 use crate::error::ExecError;
-use lpb_data::{Norm, Relation};
-use std::collections::HashMap;
+use lpb_data::{DegreeRuns, Norm, Relation};
+use std::collections::BTreeMap;
 
 /// One part of a degree partition.
 #[derive(Debug, Clone)]
@@ -55,6 +62,68 @@ impl DegreePart {
     }
 }
 
+/// Bucket index of a degree `d ≥ 1`: `⌈log₂ d⌉`, with bucket 1 for
+/// `d ∈ {1, 2}`.
+fn bucket_of(d: u64) -> u32 {
+    d.max(2).next_power_of_two().trailing_zeros()
+}
+
+/// Each Lemma 2.5 bucket's maximum degree and number of `U`-values.
+fn bucket_stats(runs: &DegreeRuns) -> BTreeMap<u32, (u64, usize)> {
+    let mut stats = BTreeMap::new();
+    for (degree, _) in runs.iter() {
+        let (max_degree, distinct_u) = stats.entry(bucket_of(degree)).or_insert((0, 0));
+        *max_degree = degree.max(*max_degree);
+        *distinct_u += 1;
+    }
+    stats
+}
+
+/// Cut `rel` into one part per distinct key `key_of` gives a run (one
+/// `U`-value and its degree, visited in ascending `U` order).  Parts come
+/// out in ascending key order, named by `name_of`, each with its maximum
+/// degree and `U`-count.
+fn split_runs<K: Ord + Copy>(
+    rel: &Relation,
+    runs: &DegreeRuns,
+    mut key_of: impl FnMut(u64) -> K,
+    name_of: impl Fn(K) -> String,
+) -> Vec<(K, DegreePart)> {
+    let keys: Vec<K> = runs.iter().map(|(degree, _)| key_of(degree)).collect();
+    let mut distinct = keys.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mut part_of = vec![0; rel.len()];
+    let mut stats = vec![(0, 0); distinct.len()];
+    for (key, (degree, rows)) in keys.iter().zip(runs.iter()) {
+        let part = distinct
+            .binary_search(key)
+            .expect("every key was collected");
+        stats[part].0 = degree.max(stats[part].0);
+        stats[part].1 += 1;
+        for &row in rows {
+            part_of[row] = part;
+        }
+    }
+    let names = distinct.iter().map(|&k| name_of(k)).collect();
+    let relations = rel.split_rows(names, &part_of);
+    distinct
+        .into_iter()
+        .zip(relations)
+        .zip(stats)
+        .map(|((key, relation), (max_degree, distinct_u))| {
+            let part = DegreePart {
+                relation,
+                // Set by the caller, which knows how keys map to buckets.
+                bucket: 0,
+                max_degree,
+                distinct_u,
+            };
+            (key, part)
+        })
+        .collect()
+}
+
 /// Partition `rel` into degree buckets of the conditional `(V | U)` given by
 /// attribute names.  Every input tuple lands in exactly one part; parts with
 /// no tuples are omitted, so at most `⌈log₂ N⌉ + 1` parts are returned.
@@ -63,69 +132,14 @@ pub fn partition_by_degree(
     v: &[&str],
     u: &[&str],
 ) -> Result<Vec<DegreePart>, ExecError> {
-    let u_pos = rel.schema().positions(u.iter().copied())?;
-    let v_pos = rel.schema().positions(v.iter().copied())?;
-
-    // Degree of each U-value: number of distinct V-values.
-    let mut groups: HashMap<Vec<u64>, Vec<Vec<u64>>> = HashMap::new();
-    for row in 0..rel.len() {
-        let key = rel.key(row, &u_pos);
-        let val = rel.key(row, &v_pos);
-        groups.entry(key).or_default().push(val);
-    }
-    let mut degree_of: HashMap<Vec<u64>, u64> = HashMap::with_capacity(groups.len());
-    for (key, mut vals) in groups {
-        vals.sort_unstable();
-        vals.dedup();
-        degree_of.insert(key, vals.len() as u64);
-    }
-
-    // Bucket index of a degree d ≥ 1: ⌈log₂ d⌉ with bucket 1 for d ∈ {1, 2}.
-    let bucket_of = |d: u64| -> u32 {
-        let mut b = 1u32;
-        while (1u64 << b) < d {
-            b += 1;
-        }
-        b
-    };
-
-    // Distribute rows into buckets.
-    let mut rows_per_bucket: HashMap<u32, Vec<Vec<u64>>> = HashMap::new();
-    for row in 0..rel.len() {
-        let key = rel.key(row, &u_pos);
-        let d = degree_of[&key];
-        rows_per_bucket
-            .entry(bucket_of(d))
-            .or_default()
-            .push(rel.row(row));
-    }
-
-    let mut buckets: Vec<u32> = rows_per_bucket.keys().copied().collect();
-    buckets.sort_unstable();
-    let attrs: Vec<String> = rel.schema().attrs().to_vec();
-    let mut parts = Vec::with_capacity(buckets.len());
-    for bucket in buckets {
-        let rows = &rows_per_bucket[&bucket];
-        let mut builder =
-            lpb_data::RelationBuilder::new(format!("{}#deg{}", rel.name(), bucket), attrs.clone())
-                .expect("schema attribute names are valid");
-        for row in rows {
-            builder.push_codes(row).expect("row arity matches schema");
-        }
-        let relation = builder.build();
-        let part_max = relation
-            .degree_sequence(v, u)
-            .map(|d| d.max_degree())
-            .unwrap_or(0);
-        let distinct_u = relation.distinct_count(u).unwrap_or(0);
-        parts.push(DegreePart {
-            relation,
-            bucket,
-            max_degree: part_max,
-            distinct_u,
-        });
-    }
-    Ok(parts)
+    let runs = rel.degree_runs(v, u)?;
+    let parts = split_runs(rel, &runs, bucket_of, |bucket| {
+        format!("{}#deg{bucket}", rel.name())
+    });
+    Ok(parts
+        .into_iter()
+        .map(|(bucket, part)| DegreePart { bucket, ..part })
+        .collect())
 }
 
 /// The full Lemma 2.5 partition for one ℓp statistic `‖deg(V|U)‖_p ≤ 2^{log2_b}`:
@@ -143,71 +157,52 @@ pub fn partition_for_statistic(
     norm: Norm,
     log2_b: f64,
 ) -> Result<Vec<DegreePart>, ExecError> {
-    let buckets = partition_by_degree(rel, v, u)?;
     let p = match norm {
         // For ℓ∞ the degree buckets already strongly satisfy the statistic
         // (every degree is at most the global maximum).
-        Norm::Infinity => return Ok(buckets),
+        Norm::Infinity => return partition_by_degree(rel, v, u),
         Norm::Finite(p) => p,
     };
-    let mut parts = Vec::new();
-    for bucket in buckets {
-        // Largest U-value count a part with this bucket's max degree may
-        // have: ⌊B^p / d^p⌋ (at least 1 — a single U-value always fits,
-        // because its own degree contributes d^p ≤ B^p).
-        let cap = (p * (log2_b - (bucket.max_degree.max(1) as f64).log2()))
-            .exp2()
-            .floor()
-            .max(1.0) as usize;
-        if bucket.distinct_u <= cap {
-            parts.push(bucket);
-            continue;
-        }
-        // Split the bucket's U-values into chunks of at most `cap` values.
-        let u_pos = bucket.relation.schema().positions(u.iter().copied())?;
-        let mut u_values: Vec<Vec<u64>> = (0..bucket.relation.len())
-            .map(|row| bucket.relation.key(row, &u_pos))
-            .collect();
-        u_values.sort_unstable();
-        u_values.dedup();
-        let attrs: Vec<String> = bucket.relation.schema().attrs().to_vec();
-        for (chunk_idx, chunk) in u_values.chunks(cap).enumerate() {
-            let mut builder = lpb_data::RelationBuilder::new(
-                format!("{}#u{}", bucket.relation.name(), chunk_idx),
-                attrs.clone(),
-            )
-            .expect("schema attribute names are valid");
-            for row in 0..bucket.relation.len() {
-                let key = bucket.relation.key(row, &u_pos);
-                if chunk.binary_search(&key).is_ok() {
-                    builder
-                        .push_codes(&bucket.relation.row(row))
-                        .expect("row arity matches schema");
-                }
-            }
-            let relation = builder.build();
-            let max_degree = relation
-                .degree_sequence(v, u)
-                .map(|d| d.max_degree())
-                .unwrap_or(0);
-            let distinct_u = relation.distinct_count(u).unwrap_or(0);
-            parts.push(DegreePart {
-                relation,
-                bucket: bucket.bucket,
-                max_degree,
-                distinct_u,
-            });
-        }
-    }
-    Ok(parts)
+    let runs = rel.degree_runs(v, u)?;
+    // Per bucket, the largest U-value count a part with the bucket's max
+    // degree may have — ⌊B^p / d^p⌋, at least 1 (a single U-value always
+    // fits, because its own degree contributes d^p ≤ B^p) — when the
+    // bucket holds more U-values than that.
+    let caps: BTreeMap<u32, Option<usize>> = bucket_stats(&runs)
+        .into_iter()
+        .map(|(bucket, (max_degree, distinct_u))| {
+            let cap = (p * (log2_b - (max_degree.max(1) as f64).log2()))
+                .exp2()
+                .floor()
+                .max(1.0) as usize;
+            (bucket, (distinct_u > cap).then_some(cap))
+        })
+        .collect();
+    // Split an over-full bucket's U-values, in ascending U order, into
+    // chunks of at most `cap` values.
+    let mut seen: BTreeMap<u32, usize> = BTreeMap::new();
+    let key_of = |degree: u64| {
+        let bucket = bucket_of(degree);
+        let rank = seen.entry(bucket).or_insert(0);
+        *rank += 1;
+        (bucket, caps[&bucket].map(|cap| (*rank - 1) / cap))
+    };
+    let parts = split_runs(rel, &runs, key_of, |(bucket, chunk)| match chunk {
+        None => format!("{}#deg{bucket}", rel.name()),
+        Some(chunk) => format!("{}#deg{bucket}#u{chunk}", rel.name()),
+    });
+    Ok(parts
+        .into_iter()
+        .map(|((bucket, _), part)| DegreePart { bucket, ..part })
+        .collect())
 }
 
 /// Coarsen the degree buckets of `(V | U)` into a two-way **light/heavy**
-/// split: bucket the `U`-values by degree ([`partition_by_degree`]), then
-/// merge every bucket whose maximum degree is at most the geometric mean of
-/// the extreme bucket maxima into the *light* part and the rest into the
-/// *heavy* part.  Returns `None` when the relation has fewer than two
-/// degree buckets (no skew worth splitting).
+/// split: bucket the `U`-values by degree (as [`partition_by_degree`]
+/// does), then put every bucket whose maximum degree is at most the
+/// geometric mean of the extreme bucket maxima into the *light* part and
+/// the rest into the *heavy* part.  Returns `None` when the relation has
+/// fewer than two degree buckets (no skew worth splitting).
 ///
 /// The parts are named `{rel}#light` / `{rel}#heavy`, keep the input
 /// schema, and partition the input tuples (disjoint and complete) — the
@@ -218,32 +213,31 @@ pub fn split_light_heavy(
     v: &[&str],
     u: &[&str],
 ) -> Result<Option<(Relation, Relation)>, ExecError> {
-    let parts = partition_by_degree(rel, v, u)?;
-    if parts.len() < 2 {
+    let runs = rel.degree_runs(v, u)?;
+    let log_max: BTreeMap<u32, f64> = bucket_stats(&runs)
+        .into_iter()
+        .map(|(bucket, (max_degree, _))| (bucket, (max_degree.max(1) as f64).log2()))
+        .collect();
+    if log_max.len() < 2 {
         return Ok(None);
     }
-    let log_deg = |p: &DegreePart| (p.max_degree.max(1) as f64).log2();
-    let dmin = parts.iter().map(&log_deg).fold(f64::INFINITY, f64::min);
-    let dmax = parts.iter().map(&log_deg).fold(f64::NEG_INFINITY, f64::max);
+    let dmin = log_max.values().copied().fold(f64::INFINITY, f64::min);
+    let dmax = log_max.values().copied().fold(f64::NEG_INFINITY, f64::max);
     if dmax <= dmin {
         return Ok(None);
     }
     let tau = (dmin + dmax) / 2.0;
-    let attrs: Vec<String> = rel.schema().attrs().to_vec();
-    let merge = |label: &str, keep: &dyn Fn(&DegreePart) -> bool| -> Relation {
-        let mut builder =
-            lpb_data::RelationBuilder::new(format!("{}#{label}", rel.name()), attrs.clone())
-                .expect("schema attribute names are valid");
-        for part in parts.iter().filter(|p| keep(p)) {
-            for row in part.relation.rows() {
-                builder.push_codes(&row).expect("row arity matches schema");
-            }
-        }
-        builder.build()
-    };
-    let light = merge("light", &|p| log_deg(p) <= tau);
-    let heavy = merge("heavy", &|p| log_deg(p) > tau);
-    debug_assert_eq!(light.len() + heavy.len(), rel.len());
+    let parts = split_runs(
+        rel,
+        &runs,
+        |degree| log_max[&bucket_of(degree)] > tau,
+        |heavy| format!("{}#{}", rel.name(), if heavy { "heavy" } else { "light" }),
+    );
+    // Light (`false`) sorts first; the lightest bucket is light and the
+    // heaviest heavy, so both parts exist.
+    let mut parts = parts.into_iter().map(|(_, part)| part.relation);
+    let light = parts.next().expect("the lightest bucket is light");
+    let heavy = parts.next().expect("the heaviest bucket is heavy");
     Ok(Some((light, heavy)))
 }
 

@@ -5,9 +5,137 @@
 //! the soundness the partition-aware planner's certificates rest on.
 
 use lpb_core::{BatchEstimator, CollectConfig, JoinQuery};
-use lpb_data::{Catalog, Norm, RelationBuilder};
+use lpb_data::{Catalog, Norm, Relation, RelationBuilder, Schema};
 use lpb_exec::{partition_by_degree, partition_for_statistic, split_light_heavy, true_cardinality};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+const ATTRS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// A relation of arity 1–4 over small domains, built with `from_columns`
+/// (which keeps duplicate rows), possibly empty, with a conditional
+/// `(V | U)`: |U| ∈ 0..=2 and |V| ∈ 1..=2 distinct attributes each.
+fn arb_conditional() -> impl Strategy<Value = (Relation, Vec<&'static str>, Vec<&'static str>)> {
+    (
+        1usize..5,
+        proptest::collection::vec((0u64..5, 0u64..9, 0u64..4, 0u64..3), 0..80),
+        0usize..3,
+        1usize..3,
+        0u64..1_000_000,
+    )
+        .prop_map(|(arity, rows, u_len, v_len, pick)| {
+            let all: [Vec<u64>; 4] = [
+                rows.iter().map(|r| r.0).collect(),
+                rows.iter().map(|r| r.1).collect(),
+                rows.iter().map(|r| r.2).collect(),
+                rows.iter().map(|r| r.3).collect(),
+            ];
+            let schema = Schema::new(ATTRS[..arity].iter().copied()).unwrap();
+            let rel = Relation::from_columns("R", schema, all[..arity].to_vec()).unwrap();
+            let choose = |len: usize, mut pick: u64| {
+                let mut pool: Vec<&'static str> = ATTRS[..arity].to_vec();
+                let mut out = Vec::new();
+                while out.len() < len.min(arity) {
+                    out.push(pool.remove((pick % pool.len() as u64) as usize));
+                    pick /= 7;
+                }
+                out
+            };
+            (rel, choose(v_len, pick / 1000), choose(u_len, pick))
+        })
+}
+
+/// The degree partition the kernel replaced: rows grouped by a `Vec` key in
+/// a `HashMap`, each group's distinct `V`-keys counted, and every bucket's
+/// rows pushed through a `RelationBuilder`.  Returns `(part, bucket, max
+/// degree, distinct U)` per bucket, in bucket order.
+fn oracle_partition(rel: &Relation, v: &[&str], u: &[&str]) -> Vec<(Relation, u32, u64, usize)> {
+    let u_pos = rel.schema().positions(u.iter().copied()).unwrap();
+    let v_pos = rel.schema().positions(v.iter().copied()).unwrap();
+    let mut groups: HashMap<Vec<u64>, Vec<Vec<u64>>> = HashMap::new();
+    for row in 0..rel.len() {
+        groups
+            .entry(rel.key(row, &u_pos))
+            .or_default()
+            .push(rel.key(row, &v_pos));
+    }
+    let degree_of: HashMap<Vec<u64>, u64> = groups
+        .into_iter()
+        .map(|(key, mut vals)| {
+            vals.sort_unstable();
+            vals.dedup();
+            (key, vals.len() as u64)
+        })
+        .collect();
+    let bucket_of = |d: u64| {
+        let mut b = 1u32;
+        while (1u64 << b) < d {
+            b += 1;
+        }
+        b
+    };
+    let mut buckets: Vec<u32> = degree_of.values().map(|&d| bucket_of(d)).collect();
+    buckets.sort_unstable();
+    buckets.dedup();
+    buckets
+        .into_iter()
+        .map(|bucket| {
+            let mut builder = RelationBuilder::new(
+                format!("{}#deg{bucket}", rel.name()),
+                rel.schema().attrs().to_vec(),
+            )
+            .unwrap();
+            for row in 0..rel.len() {
+                if bucket_of(degree_of[&rel.key(row, &u_pos)]) == bucket {
+                    builder.push_codes(&rel.row(row)).unwrap();
+                }
+            }
+            let in_bucket: Vec<u64> = degree_of
+                .values()
+                .copied()
+                .filter(|&d| bucket_of(d) == bucket)
+                .collect();
+            let max_degree = in_bucket.iter().copied().max().unwrap();
+            (builder.build(), bucket, max_degree, in_bucket.len())
+        })
+        .collect()
+}
+
+/// The light/heavy coarsening over the oracle partition: buckets whose max
+/// degree is at most the geometric mean of the extreme maxima are light.
+fn oracle_light_heavy(rel: &Relation, v: &[&str], u: &[&str]) -> Option<(Relation, Relation)> {
+    let parts = oracle_partition(rel, v, u);
+    if parts.len() < 2 {
+        return None;
+    }
+    let log_deg = |d: u64| (d.max(1) as f64).log2();
+    let dmin = parts
+        .iter()
+        .map(|p| log_deg(p.2))
+        .fold(f64::INFINITY, f64::min);
+    let dmax = parts
+        .iter()
+        .map(|p| log_deg(p.2))
+        .fold(f64::NEG_INFINITY, f64::max);
+    if dmax <= dmin {
+        return None;
+    }
+    let tau = (dmin + dmax) / 2.0;
+    let merge = |label: &str, heavy: bool| {
+        let mut builder = RelationBuilder::new(
+            format!("{}#{label}", rel.name()),
+            rel.schema().attrs().to_vec(),
+        )
+        .unwrap();
+        for part in parts.iter().filter(|p| (log_deg(p.2) > tau) == heavy) {
+            for row in part.0.rows() {
+                builder.push_codes(&row).unwrap();
+            }
+        }
+        builder.build()
+    };
+    Some((merge("light", false), merge("heavy", true)))
+}
 
 /// Random pairs with planted hubs: a few `y`-values of large `x`-fan-out on
 /// top of a uniform background, so degree buckets are non-trivial.
@@ -28,6 +156,34 @@ fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
             pairs.extend(background);
             pairs
         })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// `partition_by_degree` produces exactly the oracle's parts — equal as
+    /// relations (names, rows, row order) and in bucket, max degree and
+    /// U-count — on random relations with duplicates and empty inputs.
+    #[test]
+    fn partition_by_degree_matches_the_oracle((rel, v, u) in arb_conditional()) {
+        let parts = partition_by_degree(&rel, &v, &u).unwrap();
+        let expected = oracle_partition(&rel, &v, &u);
+        prop_assert_eq!(parts.len(), expected.len());
+        for (part, (relation, bucket, max_degree, distinct_u)) in parts.iter().zip(&expected) {
+            prop_assert_eq!(&part.relation, relation);
+            prop_assert_eq!(part.bucket, *bucket);
+            prop_assert_eq!(part.max_degree, *max_degree);
+            prop_assert_eq!(part.distinct_u, *distinct_u);
+        }
+    }
+
+    /// `split_light_heavy` produces exactly the oracle's two parts (or
+    /// declines exactly when the oracle does).
+    #[test]
+    fn split_light_heavy_matches_the_oracle((rel, v, u) in arb_conditional()) {
+        let split = split_light_heavy(&rel, &v, &u).unwrap();
+        prop_assert_eq!(split, oracle_light_heavy(&rel, &v, &u));
+    }
 }
 
 proptest! {

@@ -16,8 +16,11 @@
 //!   The caveat is the inverse one: work a solve fans out to *other*
 //!   threads (e.g. a parallel [`crate::SolverKind`] batch) is attributed to
 //!   those threads, so per-request accounting wants solves kept on the
-//!   requesting thread.  [`SolverStats::on_thread`] wraps the
-//!   snapshot/diff pair around a closure.
+//!   requesting thread, or each worker's delta handed back and credited
+//!   to the requester with [`SolverStats::credit_to_thread`] (what
+//!   `lpb-core`'s parallel batch estimator does).
+//!   [`SolverStats::on_thread`] wraps the snapshot/diff pair around a
+//!   closure.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,6 +121,24 @@ impl SolverStats {
         (out, Self::thread_snapshot().since(&before))
     }
 
+    /// Add this delta to the **calling thread's** counters only — the
+    /// process-wide counters already saw the work.  A caller that fans
+    /// solves out to worker threads credits each worker's
+    /// [`on_thread`](Self::on_thread) delta back exactly once, so its own
+    /// thread-local delta covers the whole fan-out.  Work that ran on the
+    /// calling thread is already counted and must not be credited again.
+    pub fn credit_to_thread(&self) {
+        for (local, by) in [
+            (&TL_PRIMAL_PIVOTS, self.primal_pivots),
+            (&TL_DUAL_PIVOTS, self.dual_pivots),
+            (&TL_REFACTORIZATIONS, self.refactorizations),
+            (&TL_APPEND_BATCHES, self.append_batches),
+            (&TL_ROWS_APPENDED, self.rows_appended),
+        ] {
+            local.with(|c| c.set(c.get() + by));
+        }
+    }
+
     /// Field-wise difference `self - earlier` (saturating, so a stale
     /// `earlier` never underflows).
     pub fn since(&self, earlier: &SolverStats) -> SolverStats {
@@ -165,6 +186,29 @@ mod tests {
         assert_eq!(d.rows_appended, 23);
         // Reversed order saturates instead of wrapping.
         assert_eq!(a.since(&b).primal_pivots, 0);
+    }
+
+    /// A worker's delta credited to the calling thread shows up in the
+    /// caller's thread-local view.
+    #[test]
+    fn credited_worker_work_lands_in_the_callers_delta() {
+        let global_before = SolverStats::snapshot();
+        let ((), mine) = SolverStats::on_thread(|| {
+            let (_, worker) = std::thread::spawn(|| {
+                SolverStats::on_thread(|| {
+                    record_primal_pivot();
+                    record_append(3);
+                })
+            })
+            .join()
+            .unwrap();
+            worker.credit_to_thread();
+        });
+        assert_eq!(mine.primal_pivots, 1);
+        assert_eq!(mine.append_batches, 1);
+        assert_eq!(mine.rows_appended, 3);
+        let global = SolverStats::snapshot().since(&global_before);
+        assert!(global.primal_pivots >= 1);
     }
 
     /// Per-thread snapshots see only the calling thread's work even while

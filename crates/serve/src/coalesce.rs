@@ -169,8 +169,8 @@ impl Coalescer {
             self.max_batch.fetch_max(n, Ordering::Relaxed);
 
             // Plan outside every lock; measure the batch's solver work as
-            // a thread-local delta (exact: the service estimator is
-            // sequential, so all LP work lands on this thread).
+            // a thread-local delta (exact: a parallel batch estimator
+            // credits the work of its worker threads back to this one).
             let (results, stats) = SolverStats::on_thread(|| plan_batch(&requests));
             debug_assert_eq!(results.len(), requests.len());
 
