@@ -5,7 +5,7 @@
 //!
 //! Besides the criterion groups, this bench runs a head-to-head comparison
 //! of the bound paths and records it in `BENCH_lp.json` at the workspace
-//! root:
+//! root (stamped with the git revision and `available_parallelism`):
 //!
 //! * **dense rebuild** — the seed behaviour: regenerate every Shannon
 //!   elemental row and solve the dense two-phase tableau, per estimate;
@@ -429,7 +429,10 @@ fn write_bench_json(
     batch: &BatchTiming,
     smoke: bool,
 ) {
-    let mut out = String::from("{\n  \"bench\": \"lp_scaling\",\n  \"rows\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"lp_scaling\", {},\n  \"rows\": [\n",
+        lpb_bench::bench_stamp()
+    );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"n_vars\": {}, \"n_stats\": {}, \"dense_rebuild_us\": {:.1}, \

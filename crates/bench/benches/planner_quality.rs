@@ -17,9 +17,11 @@
 //!    and the morsel-parallel engine ([`lpb_exec::execute_physical_mode`]),
 //!    asserting all three agree on the result multiset with zero
 //!    certificate violations, and wall-clocks each mode,
-//! 4. emits `BENCH_planner.json` at the workspace root with plan time,
+//! 4. emits `BENCH_planner.json` at the workspace root, stamped with the
+//!    git revision and `available_parallelism`, with plan time,
 //!    chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
+//!    the LPs the partition search solved (`partition_subqueries_bounded`),
 //!    certificate-violation counts (asserted zero), the estimator's
 //!    shape-cache hit counters, and the per-mode execution times
 //!    (`exec_scalar_us` / `exec_vectorized_us` / `exec_parallel_us`) with
@@ -68,6 +70,7 @@ struct PlannerRow {
     certificates_checked: usize,
     output_size: usize,
     subqueries_bounded: usize,
+    partition_subqueries_bounded: usize,
     bound_fallbacks: usize,
     shape_cache_hits: usize,
     exec_scalar_us: f64,
@@ -368,6 +371,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             certificates_checked: chosen.counters.certificates_checked(),
             output_size: chosen.output_size(),
             subqueries_bounded: plan.subqueries_bounded,
+            partition_subqueries_bounded: plan.partition_subqueries_bounded,
             bound_fallbacks: plan.bound_fallbacks,
             shape_cache_hits,
             exec_scalar_us,
@@ -385,7 +389,10 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
 }
 
 fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
-    let mut out = String::from("{\n  \"bench\": \"planner_quality\",\n  \"rows\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"planner_quality\", {},\n  \"rows\": [\n",
+        lpb_bench::bench_stamp()
+    );
     for (i, r) in rows.iter().enumerate() {
         let order: Vec<String> = r.order.iter().map(|a| a.to_string()).collect();
         out.push_str(&format!(
@@ -395,7 +402,8 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"leftdeep_max_intermediate\": {}, \"bushy_vs_leftdeep_peak\": {:.2}, \
              \"partitioned_vs_monolithic_peak\": {:.2}, \"parts_planned\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
-             \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
+             \"output_size\": {}, \"subqueries_bounded\": {}, \
+             \"partition_subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
              \"shape_cache_hits\": {}, \"exec_scalar_us\": {:.1}, \
              \"exec_vectorized_us\": {:.1}, \"exec_parallel_us\": {:.1}, \
              \"speedup_vs_scalar\": {:.2}, \"replans\": {}, \
@@ -429,6 +437,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.certificate_violations,
             r.output_size,
             r.subqueries_bounded,
+            r.partition_subqueries_bounded,
             r.bound_fallbacks,
             r.shape_cache_hits,
             r.exec_scalar_us,

@@ -16,7 +16,8 @@
 //!    zero certificate violations everywhere (in-flight requests finish on
 //!    their admission snapshots, so a concurrent publish can never fail a
 //!    certificate) and that the hit path did **zero** LP pivots,
-//! 4. emits `BENCH_serve.json` at the workspace root: queries/sec, p50/p99
+//! 4. emits `BENCH_serve.json` at the workspace root, stamped with the git
+//!    revision and `available_parallelism`: queries/sec, p50/p99
 //!    plan latency, cold vs hit p50 (the plan-cache speedup, asserted
 //!    ≥ 10x), the cache hit rate, coalesced-batch statistics (≥ 2 requests
 //!    per batch asserted under 64-client load), publish counts, and the
@@ -262,7 +263,10 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<LoadRow> {
 }
 
 fn write_bench_json(rows: &[LoadRow], smoke: bool) {
-    let mut out = String::from("{\n  \"bench\": \"serve_load\",\n  \"rows\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"serve_load\", {},\n  \"rows\": [\n",
+        lpb_bench::bench_stamp()
+    );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"clients\": {}, \"requests\": {}, \"qps\": {:.1}, \

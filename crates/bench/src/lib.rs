@@ -66,3 +66,52 @@ impl Scale {
         }
     }
 }
+
+/// The environment stamp each `BENCH_*.json` emitter writes into its
+/// header, as JSON object members: the git revision of the checkout and
+/// the machine's `available_parallelism`, so a committed number names the
+/// code and the core count that produced it.
+pub fn bench_stamp() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!(
+        "\"git_revision\": \"{}\", \"available_parallelism\": {cores}",
+        git_revision(&root)
+    )
+}
+
+/// The commit the checkout at `root` is at, read from `.git` without
+/// running git; `unknown` outside a git checkout.
+fn git_revision(root: &std::path::Path) -> String {
+    let git = root.join(".git");
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Ok(rev) = std::fs::read_to_string(git.join(reference)) {
+        return rev.trim().to_string();
+    }
+    std::fs::read_to_string(git.join("packed-refs"))
+        .ok()
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find_map(|l| l.strip_suffix(reference).map(|rev| rev.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn bench_stamp_names_the_revision_and_core_count() {
+        let stamp = super::bench_stamp();
+        assert!(stamp.starts_with("\"git_revision\": \""), "{stamp}");
+        assert!(stamp.contains("\"available_parallelism\": "), "{stamp}");
+        let outside = super::git_revision(std::path::Path::new("/nonexistent"));
+        assert_eq!(outside, "unknown");
+    }
+}

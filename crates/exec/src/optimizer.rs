@@ -48,11 +48,15 @@
 //! (`log₂(max/avg degree)` past [`PlannerConfig::partition_skew_log2`])
 //! the planner splits it into a light and a heavy part
 //! ([`crate::split_light_heavy`]), derives a per-part sub-catalog
-//! ([`lpb_data::Catalog::derive_with`]) with per-part statistics, bounds
-//! the **cross product of parts × connected sub-joins in one warm-started
-//! batch** (same LP shapes, per-part right-hand sides — the dual
-//! warm-start sweet spot), and runs the same bottleneck DP independently
-//! per part.  Each part may choose a *different* join order — the whole
+//! ([`lpb_data::Catalog::derive_with`]) with per-part statistics, and
+//! re-plans each part as a **delta** of the monolithic bound table, like
+//! [`Optimizer::plan_delta`]: a sub-join without the split atom keeps its
+//! monolithic bound.  Each part's full-query LP comes first, and a
+//! candidate whose summed part outputs already reach the cost to beat is
+//! dropped on those LPs alone (a partitioned plan costs at least that
+//! sum).  A survivor bounds its other sub-joins containing the split atom
+//! in one warm-started batch across parts and runs the same bottleneck DP
+//! per part, so each part may choose a *different* join order — the whole
 //! point under two-sided skew.  The partitioned plan (max-over-parts
 //! bottleneck, plus the sum-of-parts union bound) replaces the monolithic
 //! pick exactly when its predicted cost is lower, so the decision is made
@@ -69,7 +73,7 @@ use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::state::{ExecState, ExecStatus};
 use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, CoreError, JoinQuery};
-use lpb_data::{Catalog, Norm, RelationBuilder, StatisticsCollector};
+use lpb_data::{Catalog, Norm, Relation, RelationBuilder, StatisticsCollector};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -99,7 +103,8 @@ pub struct PlannerConfig {
     pub enable_partitioning: bool,
     /// How many skew candidates (atom, conditional) the partitioned search
     /// tries per planning call, most-skewed first.  Each candidate costs one
-    /// extra warm-started bound batch over parts × connected sub-joins.
+    /// full-query LP per part, plus — if it passes the screen — a batch over
+    /// the parts' other sub-joins containing the split atom.
     pub max_partition_candidates: usize,
     /// Minimum skew — `log₂(max degree / average degree)` of a conditional —
     /// before an atom is considered for partitioning.  The default of 2
@@ -170,9 +175,11 @@ pub struct OptimizedPlan {
     /// Number of degree-partition parts the chosen plan evaluates (zero for
     /// monolithic plans, the light/heavy part count otherwise).
     pub parts_planned: usize,
-    /// Sub-joins successfully bounded **for per-part planning** (across all
-    /// partition candidates tried), on top of
-    /// [`subqueries_bounded`](Self::subqueries_bounded).
+    /// LPs solved to a finite bound **for per-part planning** across all
+    /// partition candidates, on top of
+    /// [`subqueries_bounded`](Self::subqueries_bounded): each part's
+    /// full-query LP, plus its other sub-joins containing the split atom
+    /// when the candidate passes the screen.  Reused bounds do not count.
     pub partition_subqueries_bounded: usize,
     /// Per-part bound attempts that fell back to the pessimistic product
     /// bound.  Zero on healthy corpora, like
@@ -213,6 +220,65 @@ struct Bounds {
     /// Sub-joins that fell back to the product bound.
     fallbacks: usize,
 }
+
+impl Bounds {
+    /// A table holding only the scans: every singleton costs its relation's
+    /// size, and no multi-atom subset is bounded yet.
+    fn scans(
+        query: &JoinQuery,
+        catalog: &Catalog,
+        logical: &LogicalPlan,
+    ) -> Result<Self, ExecError> {
+        let mut scan_log2 = Vec::with_capacity(query.n_atoms());
+        let mut log2 = HashMap::new();
+        for (j, atom) in query.atoms().iter().enumerate() {
+            let s = (catalog.get(&atom.relation)?.len().max(1) as f64).log2();
+            scan_log2.push(s);
+            log2.insert(1u64 << j, s);
+        }
+        Ok(Bounds {
+            log2,
+            scan_log2,
+            subsets: logical.connected_subsets(),
+            bounded: 0,
+            fallbacks: 0,
+        })
+    }
+
+    /// The connected subsets of two or more atoms — the ones an LP bounds.
+    fn multi(&self) -> impl Iterator<Item = u64> + '_ {
+        self.subsets.iter().copied().filter(|s| s.count_ones() >= 2)
+    }
+
+    /// Record one sub-join's bound attempt: the LP bound, or the pessimistic
+    /// per-atom product when the attempt failed or came back unbounded.
+    fn record(
+        &mut self,
+        logical: &LogicalPlan,
+        mask: u64,
+        result: &Result<BoundResult, CoreError>,
+    ) {
+        let value = match result {
+            Ok(b) if b.is_bounded() => {
+                self.bounded += 1;
+                b.log2_bound
+            }
+            _ => {
+                self.fallbacks += 1;
+                logical.atoms_of(mask).map(|j| self.scan_log2[j]).sum()
+            }
+        };
+        self.log2.insert(mask, value);
+    }
+}
+
+/// A [`plan_many`](Optimizer::plan_many) request ready for the shared
+/// batch: join graph, greedy order, scan table, multi-atom subsets.
+type Prepared = (LogicalPlan, JoinPlan, Bounds, Vec<Vec<usize>>);
+
+/// One part of a degree partition: the query with the split atom rebound to
+/// the part, the derived catalog holding it, and the part relation.
+type PartRun = (JoinQuery, Catalog, Relation);
 
 /// Bound-driven planner; see the module docs.
 ///
@@ -255,55 +321,81 @@ impl Optimizer {
         &self.config
     }
 
-    /// Bound every connected sub-join of `query` in one warm-started batch
-    /// and fold the results into the DP's lookup table.  Singletons cost
-    /// their scan size; a multi-atom subset whose bound attempt fails costs
-    /// the pessimistic per-atom product.
+    /// Bound every connected sub-join of `query` into the DP's lookup
+    /// table, reusing what `prior` proved through `atom_map` (see
+    /// [`bound_delta`](Self::bound_delta)); returns the table and how many
+    /// subsets it reused.
     fn harvest_bounds(
         &self,
         query: &JoinQuery,
         catalog: &Catalog,
         logical: &LogicalPlan,
-    ) -> Result<Bounds, ExecError> {
-        let mut all = self.harvest_bounds_multi(&[(query, catalog)], logical)?;
-        Ok(all.pop().expect("one bound table per run"))
+        prior: &HashMap<u64, f64>,
+        atom_map: &[Option<usize>],
+    ) -> Result<(Bounds, usize), ExecError> {
+        let mut table = Bounds::scans(query, catalog, logical)?;
+        let multi: Vec<u64> = table.multi().collect();
+        let runs = [(query, catalog)];
+        let reused = self.bound_delta(
+            &runs,
+            std::slice::from_mut(&mut table),
+            logical,
+            &multi,
+            prior,
+            atom_map,
+        );
+        Ok((table, reused))
     }
 
-    /// [`harvest_bounds`](Self::harvest_bounds) over several runs at once:
-    /// the cross product of runs × connected sub-joins goes through **one**
-    /// warm-started [`BatchEstimator::bound_subqueries_multi`] batch.  All
-    /// runs must share the query's join graph (`logical`) — exactly the
-    /// situation of a degree partition, where every part poses the same
-    /// query (one atom rebound to the part) over a per-part sub-catalog, so
-    /// each sub-join's LP shape is solved cold once and every other part
-    /// re-solves it from the shared warm handle with a new RHS.
-    fn harvest_bounds_multi(
+    /// Fill `masks` into every run's table.  A subset whose atoms all map
+    /// through `atom_map` (`Some(old)` = carried over unchanged) is the same
+    /// sub-join as the `prior` subset it remaps to and takes that bound; the
+    /// rest go through **one** warm-started
+    /// [`BatchEstimator::bound_subqueries_multi`] batch across the runs,
+    /// which share the join graph and `atom_map` (the parts of a degree
+    /// partition re-solve each LP shape warm with their own right-hand
+    /// sides).  Returns how many subsets each run reused.
+    fn bound_delta(
         &self,
         runs: &[(&JoinQuery, &Catalog)],
+        tables: &mut [Bounds],
         logical: &LogicalPlan,
-    ) -> Result<Vec<Bounds>, ExecError> {
-        let subsets = logical.connected_subsets();
-        let multi: Vec<u64> = subsets
-            .iter()
-            .copied()
-            .filter(|s| s.count_ones() >= 2)
-            .collect();
-        let subset_atoms: Vec<Vec<usize>> = multi
-            .iter()
-            .map(|&mask| logical.atoms_of(mask).collect())
-            .collect();
-        let config = CollectConfig::with_max_norm(self.config.max_norm);
-        let grouped = self
-            .estimator
-            .bound_subqueries_multi(runs, &subset_atoms, &config);
-
-        let mut out = Vec::with_capacity(runs.len());
-        for ((query, catalog), bounds) in runs.iter().zip(grouped) {
-            out.push(fold_bounds(
-                query, catalog, logical, &multi, &subsets, &bounds,
-            )?);
+        masks: &[u64],
+        prior: &HashMap<u64, f64>,
+        atom_map: &[Option<usize>],
+    ) -> usize {
+        let mut reused = 0usize;
+        let mut fresh: Vec<u64> = Vec::new();
+        for &mask in masks {
+            let remapped = logical
+                .atoms_of(mask)
+                .try_fold(0u64, |acc, j| atom_map[j].map(|old| acc | (1u64 << old)));
+            match remapped.and_then(|old_mask| prior.get(&old_mask)) {
+                Some(&v) => {
+                    reused += 1;
+                    for table in tables.iter_mut() {
+                        table.log2.insert(mask, v);
+                    }
+                }
+                None => fresh.push(mask),
+            }
         }
-        Ok(out)
+        if !fresh.is_empty() {
+            let fresh_atoms: Vec<Vec<usize>> = fresh
+                .iter()
+                .map(|&mask| logical.atoms_of(mask).collect())
+                .collect();
+            let config = CollectConfig::with_max_norm(self.config.max_norm);
+            let grouped = self
+                .estimator
+                .bound_subqueries_multi(runs, &fresh_atoms, &config);
+            for (table, results) in tables.iter_mut().zip(&grouped) {
+                for (&mask, result) in fresh.iter().zip(results) {
+                    table.record(logical, mask, result);
+                }
+            }
+        }
+        reused
     }
 
     /// Predicted `log₂` bottleneck of evaluating `order` as a left-deep
@@ -332,7 +424,9 @@ impl Optimizer {
             });
         }
         let logical = LogicalPlan::of(query);
-        let bounds = self.harvest_bounds(query, catalog, &logical)?;
+        let no_prior = vec![None; query.n_atoms()];
+        let (bounds, _) =
+            self.harvest_bounds(query, catalog, &logical, &HashMap::new(), &no_prior)?;
         Ok(order_bottleneck(order, &bounds))
     }
 
@@ -358,7 +452,8 @@ impl Optimizer {
                 reason: "sub-join bound harvest needs a connected join graph".to_string(),
             });
         }
-        let bounds = self.harvest_bounds(query, catalog, &logical)?;
+        let (bounds, _) =
+            self.harvest_bounds(query, catalog, &logical, &HashMap::new(), &vec![None; m])?;
         Ok(SubjoinBounds {
             log2: bounds.log2,
             n_atoms: m,
@@ -373,14 +468,11 @@ impl Optimizer {
     /// previous delta round) and `atom_map[j]` says what atom `j` of the
     /// new `query` was in the prior query: `Some(old)` for an atom carried
     /// over unchanged, `None` for a refreshed atom (e.g. an observed
-    /// intermediate spliced in as a pseudo-relation).  Every connected
-    /// subset whose atoms all map to prior atoms reuses the prior bound via
-    /// a mask remap — the atoms, their relations and their shared variables
-    /// are unchanged, so the sub-join (and its LP) is literally the same.
-    /// The remaining subsets go through **one** warm-started
-    /// [`BatchEstimator::bound_subqueries`] batch, where the grown-shape
-    /// path (`append_le_rows`) picks their LPs up from the prior rounds'
-    /// snapshots.  The same bottleneck DP then lowers a certified plan.
+    /// intermediate spliced in as a pseudo-relation).  Subsets whose atoms
+    /// all map reuse the prior bound; the rest go through one warm-started
+    /// batch, where the grown-shape path (`append_le_rows`) picks their LPs
+    /// up from the prior rounds' snapshots.  The same bottleneck DP then
+    /// lowers a certified plan.
     pub fn plan_delta(
         &self,
         query: &JoinQuery,
@@ -397,23 +489,23 @@ impl Optimizer {
         }
         if m == 1 {
             // A single remaining atom is just a certified scan.
-            let size = catalog.get(&query.atoms()[0].relation)?.len();
-            let s = (size.max(1) as f64).log2();
-            let physical = PhysicalPlan::from_root(PhysicalNode::Scan {
-                atom: 0,
-                log2_bound: Some(s),
-            });
-            let mut log2 = HashMap::new();
-            log2.insert(1u64, s);
+            let scan = Bounds::scans(query, catalog, &LogicalPlan::of(query))?;
+            let s = scan.scan_log2[0];
             return Ok(DeltaPlan {
-                physical,
+                physical: PhysicalPlan::from_root(PhysicalNode::Scan {
+                    atom: 0,
+                    log2_bound: Some(s),
+                }),
                 order: vec![0],
                 predicted_log2_cost: s,
                 subqueries_bounded: 0,
                 bound_fallbacks: 0,
                 bounds_reused: 0,
                 plan_time: started.elapsed(),
-                bounds: SubjoinBounds { log2, n_atoms: 1 },
+                bounds: SubjoinBounds {
+                    log2: scan.log2,
+                    n_atoms: 1,
+                },
             });
         }
         if m > self.config.max_dp_atoms.min(63) {
@@ -429,74 +521,19 @@ impl Optimizer {
             });
         }
 
-        let subsets = logical.connected_subsets();
-        let mut scan_log2 = Vec::with_capacity(m);
-        let mut log2: HashMap<u64, f64> = HashMap::new();
-        for j in 0..m {
-            let size = catalog.get(&query.atoms()[j].relation)?.len();
-            let s = (size.max(1) as f64).log2();
-            scan_log2.push(s);
-            log2.insert(1u64 << j, s);
-        }
-
-        // Split the connected multi-atom subsets into prior-table reuses
-        // (every atom maps, so the sub-join is unchanged) and fresh bounds.
-        let mut bounds_reused = 0usize;
-        let mut fresh_masks: Vec<u64> = Vec::new();
-        let mut fresh_atoms: Vec<Vec<usize>> = Vec::new();
-        for &mask in subsets.iter().filter(|s| s.count_ones() >= 2) {
-            let remapped = logical
-                .atoms_of(mask)
-                .try_fold(0u64, |acc, j| match atom_map[j] {
-                    Some(old) if old < prior.n_atoms => Some(acc | (1u64 << old)),
-                    _ => None,
-                });
-            if let Some(v) = remapped.and_then(|old_mask| prior.log2.get(&old_mask)) {
-                log2.insert(mask, *v);
-                bounds_reused += 1;
-            } else {
-                fresh_masks.push(mask);
-                fresh_atoms.push(logical.atoms_of(mask).collect());
-            }
-        }
-
-        // One warm-started batch over exactly the touched sub-joins.
-        let mut bounded = 0usize;
-        let mut fallbacks = 0usize;
-        if !fresh_masks.is_empty() {
-            let config = CollectConfig::with_max_norm(self.config.max_norm);
-            let fresh = self
-                .estimator
-                .bound_subqueries(query, catalog, &fresh_atoms, &config);
-            for (&mask, bound) in fresh_masks.iter().zip(&fresh) {
-                let value = match bound {
-                    Ok(b) if b.is_bounded() => {
-                        bounded += 1;
-                        b.log2_bound
-                    }
-                    _ => {
-                        fallbacks += 1;
-                        logical.atoms_of(mask).map(|j| scan_log2[j]).sum()
-                    }
-                };
-                log2.insert(mask, value);
-            }
-        }
-
-        let bounds = Bounds {
-            log2,
-            scan_log2,
-            subsets,
-            bounded,
-            fallbacks,
-        };
+        let atom_map: Vec<Option<usize>> = atom_map
+            .iter()
+            .map(|a| a.filter(|&old| old < prior.n_atoms))
+            .collect();
+        let (bounds, bounds_reused) =
+            self.harvest_bounds(query, catalog, &logical, &prior.log2, &atom_map)?;
         let chosen = self.choose(&logical, &bounds);
         Ok(DeltaPlan {
             physical: chosen.physical,
             order: chosen.order,
             predicted_log2_cost: chosen.predicted,
-            subqueries_bounded: bounded,
-            bound_fallbacks: fallbacks,
+            subqueries_bounded: bounds.bounded,
+            bound_fallbacks: bounds.fallbacks,
             bounds_reused,
             plan_time: started.elapsed(),
             bounds: SubjoinBounds {
@@ -506,41 +543,12 @@ impl Optimizer {
         })
     }
 
-    /// Choose a physical plan for `query` over `catalog`.
+    /// Choose a physical plan for `query` over `catalog`: a one-request
+    /// [`plan_many`](Self::plan_many).
     pub fn plan(&self, query: &JoinQuery, catalog: &Catalog) -> Result<OptimizedPlan, ExecError> {
-        let started = Instant::now();
-        let m = query.n_atoms();
-        let greedy = JoinPlan::greedy_by_size(query, catalog)?;
-
-        // Greedy fallback without enumeration (and without the prewarm its
-        // bounds would have consumed): single atoms, queries past the DP
-        // gate (including >64 atoms, beyond the subset-mask width), and —
-        // checked below once the join graph exists — disconnected queries.
-        if m == 1 || m > self.config.max_dp_atoms.min(63) {
-            return Ok(Self::fallback_plan(
-                &greedy,
-                m,
-                crate::yannakakis::is_acyclic(query),
-                started,
-            ));
-        }
-
-        let logical = LogicalPlan::of(query);
-        let full: u64 = (1u64 << m) - 1;
-        if !logical.is_connected(full) {
-            return Ok(Self::fallback_plan(
-                &greedy,
-                m,
-                logical.cyclic_core().is_empty(),
-                started,
-            ));
-        }
-
-        self.prewarm(query, catalog)?;
-
-        // --- Bound every connected sub-join in one warm-started batch. ---
-        let bounds = self.harvest_bounds(query, catalog, &logical)?;
-        self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
+        self.plan_many(&[(query, catalog)])
+            .pop()
+            .expect("one result per request")
     }
 
     /// Plan several `(query, catalog)` requests with **one** warm-started LP
@@ -552,94 +560,26 @@ impl Optimizer {
     /// different users collapse onto the same shapes), and per-shape cache
     /// bookkeeping is paid once per batch instead of once per request.
     ///
-    /// Semantically identical to calling [`plan`](Self::plan) per request
-    /// (same bounds, same DP, same lowering); only the LP batching differs.
-    /// Requests the DP cannot bound (single atom, past
-    /// [`PlannerConfig::max_dp_atoms`], disconnected graph) take the same
-    /// greedy fallback as `plan`.  Each returned
-    /// [`OptimizedPlan::plan_time`] spans the whole batch call, since the
-    /// batch is the unit of work a coalesced request waits on.
+    /// Each request gets the plan [`plan`](Self::plan) gives it alone; only
+    /// the LP batching differs.  Each returned [`OptimizedPlan::plan_time`]
+    /// spans the whole batch call, since the batch is the unit of work a
+    /// coalesced request waits on.
     pub fn plan_many(
         &self,
         requests: &[(&JoinQuery, &Catalog)],
     ) -> Vec<Result<OptimizedPlan, ExecError>> {
         let started = Instant::now();
-
-        // Per-request preparation.  Requests that bypass bounding resolve
-        // immediately; the rest contribute their connected sub-joins as one
-        // group of the shared batch.
-        enum Prep {
-            Done(Box<Result<OptimizedPlan, ExecError>>),
-            Batched {
-                logical: LogicalPlan,
-                greedy: JoinPlan,
-                multi: Vec<u64>,
-                subsets: Vec<u64>,
-                subset_atoms: Vec<Vec<usize>>,
-            },
-        }
-        let mut preps: Vec<Prep> = Vec::with_capacity(requests.len());
-        for &(query, catalog) in requests {
-            let m = query.n_atoms();
-            let greedy = match JoinPlan::greedy_by_size(query, catalog) {
-                Ok(g) => g,
-                Err(e) => {
-                    preps.push(Prep::Done(Box::new(Err(e))));
-                    continue;
-                }
-            };
-            if m == 1 || m > self.config.max_dp_atoms.min(63) {
-                preps.push(Prep::Done(Box::new(Ok(Self::fallback_plan(
-                    &greedy,
-                    m,
-                    crate::yannakakis::is_acyclic(query),
-                    started,
-                )))));
-                continue;
-            }
-            let logical = LogicalPlan::of(query);
-            let full: u64 = (1u64 << m) - 1;
-            if !logical.is_connected(full) {
-                preps.push(Prep::Done(Box::new(Ok(Self::fallback_plan(
-                    &greedy,
-                    m,
-                    logical.cyclic_core().is_empty(),
-                    started,
-                )))));
-                continue;
-            }
-            if let Err(e) = self.prewarm(query, catalog) {
-                preps.push(Prep::Done(Box::new(Err(e))));
-                continue;
-            }
-            let subsets = logical.connected_subsets();
-            let multi: Vec<u64> = subsets
-                .iter()
-                .copied()
-                .filter(|s| s.count_ones() >= 2)
-                .collect();
-            let subset_atoms: Vec<Vec<usize>> = multi
-                .iter()
-                .map(|&mask| logical.atoms_of(mask).collect())
-                .collect();
-            preps.push(Prep::Batched {
-                logical,
-                greedy,
-                multi,
-                subsets,
-                subset_atoms,
-            });
-        }
+        let preps: Vec<_> = requests
+            .iter()
+            .map(|&(query, catalog)| self.prepare(query, catalog, started))
+            .collect();
 
         // One flat warm-started batch across every batched request.
         let config = CollectConfig::with_max_norm(self.config.max_norm);
         let groups: Vec<(&JoinQuery, &Catalog, &[Vec<usize>])> = preps
             .iter()
             .zip(requests)
-            .filter_map(|(p, &(q, c))| match p {
-                Prep::Batched { subset_atoms, .. } => Some((q, c, subset_atoms.as_slice())),
-                Prep::Done(_) => None,
-            })
+            .filter_map(|(prep, &(q, c))| Some((q, c, prep.as_ref().ok()?.3.as_slice())))
             .collect();
         let mut grouped = self
             .estimator
@@ -649,23 +589,58 @@ impl Optimizer {
         preps
             .into_iter()
             .zip(requests)
-            .map(|(prep, &(query, catalog))| match prep {
-                Prep::Done(r) => *r,
-                Prep::Batched {
-                    logical,
-                    greedy,
-                    multi,
-                    subsets,
-                    ..
-                } => {
-                    let results = grouped
-                        .next()
-                        .expect("one result group per batched request");
-                    let bounds = fold_bounds(query, catalog, &logical, &multi, &subsets, &results)?;
-                    self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
+            .map(|(prep, &(query, catalog))| {
+                let (logical, greedy, mut bounds, subset_atoms) = match prep {
+                    Ok(prepared) => prepared,
+                    Err(done) => return *done,
+                };
+                let results = grouped
+                    .next()
+                    .expect("one result group per batched request");
+                for (atoms, result) in subset_atoms.iter().zip(&results) {
+                    bounds.record(&logical, atoms.iter().map(|&j| 1u64 << j).sum(), result);
                 }
+                self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
             })
             .collect()
+    }
+
+    /// One [`plan_many`](Self::plan_many) request's share of the batch: its
+    /// join graph, greedy order, scan table and multi-atom subsets.  `Err`
+    /// carries the final answer of a request the DP cannot bound: an error,
+    /// or the greedy fallback (taken without the prewarm its bounds would
+    /// consume) for single atoms, queries past the DP gate (including >64
+    /// atoms, beyond the subset-mask width) and disconnected join graphs.
+    fn prepare(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+        started: Instant,
+    ) -> Result<Prepared, Box<Result<OptimizedPlan, ExecError>>> {
+        let m = query.n_atoms();
+        let greedy = JoinPlan::greedy_by_size(query, catalog).map_err(|e| Box::new(Err(e)))?;
+        if m == 1 || m > self.config.max_dp_atoms.min(63) {
+            let acyclic = crate::yannakakis::is_acyclic(query);
+            return Err(Box::new(Ok(Self::fallback_plan(
+                &greedy, m, acyclic, started,
+            ))));
+        }
+        let logical = LogicalPlan::of(query);
+        if !logical.is_connected((1u64 << m) - 1) {
+            let acyclic = logical.cyclic_core().is_empty();
+            return Err(Box::new(Ok(Self::fallback_plan(
+                &greedy, m, acyclic, started,
+            ))));
+        }
+        let bounds = self
+            .prewarm(query, catalog)
+            .and_then(|()| Bounds::scans(query, catalog, &logical))
+            .map_err(|e| Box::new(Err(e)))?;
+        let subset_atoms = bounds
+            .multi()
+            .map(|mask| logical.atoms_of(mask).collect())
+            .collect();
+        Ok((logical, greedy, bounds, subset_atoms))
     }
 
     /// Eagerly materialize the degree-sequence norms of every relation the
@@ -748,9 +723,14 @@ impl Optimizer {
         let mut parts_planned = 0usize;
         let mut partition_stats = PartitionSearchStats::default();
         if self.config.enable_partitioning {
-            if let Some(pick) =
-                self.partitioned_plan(query, catalog, logical, predicted, &mut partition_stats)?
-            {
+            if let Some(pick) = self.partitioned_plan(
+                query,
+                catalog,
+                logical,
+                bounds,
+                predicted,
+                &mut partition_stats,
+            )? {
                 let plan = PhysicalPlan::from_root(pick.node);
                 order = plan.atom_order();
                 physical = plan;
@@ -985,123 +965,60 @@ impl Optimizer {
 
     /// Search for a degree-partitioned plan that beats `monolithic_cost`.
     ///
-    /// Candidates are the query atoms whose relation has a skewed simple
-    /// conditional (`log₂(max/avg degree) ≥`
-    /// [`PlannerConfig::partition_skew_log2`]), most-skewed first.  For each
-    /// candidate the relation is split light/heavy
-    /// ([`crate::split_light_heavy`]), per-part sub-catalogs are derived and
-    /// their statistics materialized, **one** warm-started batch bounds the
-    /// cross product of parts × connected sub-joins, and the shared
-    /// [`Optimizer::choose`] DP plans each part independently.  The
-    /// partitioned cost is the max over parts of the per-part bottleneck,
-    /// combined with the sum-of-parts output bound that certifies the final
-    /// union; the best candidate is returned only when that cost strictly
-    /// beats the monolithic prediction — so the decision is made from LP
-    /// bounds alone.
+    /// Each skew candidate is split into parts
+    /// ([`partition_runs`](Self::partition_runs)), whose tables
+    /// [`part_bounds`](Self::part_bounds) fills as deltas of the monolithic
+    /// table `mono` after screening on the parts' output bounds; the shared
+    /// [`Optimizer::choose`] DP then plans each part.  The partitioned cost
+    /// is the max over parts of the per-part bottleneck, combined with the
+    /// sum-of-parts output bound that certifies the final union; the best
+    /// candidate wins only when that cost strictly beats the monolithic one.
     fn partitioned_plan(
         &self,
         query: &JoinQuery,
         catalog: &Catalog,
         logical: &LogicalPlan,
+        mono: &Bounds,
         monolithic_cost: f64,
         stats: &mut PartitionSearchStats,
     ) -> Result<Option<PartitionedPick>, ExecError> {
         if !monolithic_cost.is_finite() {
             return Ok(None);
         }
-        // --- Skew detection over the prewarmed simple conditionals. ---
-        let mut candidates: Vec<(f64, usize, Vec<String>, Vec<String>)> = Vec::new();
-        for j in 0..query.n_atoms() {
-            let rel_name = &query.atoms()[j].relation;
-            let rel = catalog.get(rel_name)?;
-            if rel.arity() < 2 || rel.is_empty() {
-                continue;
-            }
-            let attrs: Vec<String> = rel.schema().attrs().to_vec();
-            for (pos, u_attr) in attrs.iter().enumerate() {
-                let v: Vec<&str> = attrs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pos)
-                    .map(|(_, a)| a.as_str())
-                    .collect();
-                let u = [u_attr.as_str()];
-                let linf = catalog.log_norm(rel_name, &v, &u, Norm::Infinity)?;
-                let l1 = catalog.log_norm(rel_name, &v, &u, Norm::L1)?;
-                let distinct_u = catalog.log_norm(rel_name, &u, &[], Norm::L1)?;
-                // log₂(max degree / average degree).
-                let skew = linf - (l1 - distinct_u);
-                if skew >= self.config.partition_skew_log2 {
-                    candidates.push((
-                        skew,
-                        j,
-                        v.iter().map(|s| s.to_string()).collect(),
-                        vec![u_attr.clone()],
-                    ));
-                }
-            }
-        }
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(self.config.max_partition_candidates);
-
-        let m = query.n_atoms();
-        let full: u64 = (1u64 << m) - 1;
+        let full: u64 = (1u64 << query.n_atoms()) - 1;
         let mut best: Option<PartitionedPick> = None;
-        for (_skew, j, v, u) in candidates {
-            let rel = catalog.get(&query.atoms()[j].relation)?;
-            let v_refs: Vec<&str> = v.iter().map(String::as_str).collect();
-            let u_refs: Vec<&str> = u.iter().map(String::as_str).collect();
-            let Some((light, heavy)) = split_light_heavy(&rel, &v_refs, &u_refs)? else {
+        for (j, pos) in self.skew_candidates(query, catalog)? {
+            let Some(runs) = self.partition_runs(query, catalog, j, pos)? else {
                 continue;
             };
-            // Per-part sub-catalogs with per-part statistics: the derived
-            // catalog shares every other relation (and its cached
-            // statistics) and materializes the part's own degree norms.
-            let mut runs: Vec<(JoinQuery, Catalog, lpb_data::Relation)> = Vec::new();
-            for part in [light, heavy] {
-                if part.is_empty() {
-                    continue;
-                }
-                let part_catalog = catalog.derive_with(part.clone());
-                if self.config.prewarm_statistics {
-                    let collector = StatisticsCollector::with_norms(
-                        CollectConfig::with_max_norm(self.config.max_norm).norms,
-                    );
-                    collector.materialize_relation(&part_catalog, part.name())?;
-                }
-                let part_query = query.with_atom_relation(j, part.name())?;
-                runs.push((part_query, part_catalog, part));
-            }
-            if runs.len() < 2 {
-                continue;
-            }
-            // One warm-started batch across parts × connected sub-joins:
-            // same LP shapes, per-part right-hand sides.
             let run_refs: Vec<(&JoinQuery, &Catalog)> =
                 runs.iter().map(|(q, c, _)| (q, c)).collect();
-            let part_bounds = self.harvest_bounds_multi(&run_refs, logical)?;
+            let threshold = best.as_ref().map_or(monolithic_cost, |b| b.cost);
+            let Some(part_bounds) =
+                self.part_bounds(&run_refs, logical, mono, j, threshold, stats)?
+            else {
+                continue;
+            };
 
             // Plan each part independently with the shared DP.
             let mut cost = f64::NEG_INFINITY;
             let mut union_bound = f64::NEG_INFINITY;
             let mut branches = Vec::with_capacity(runs.len());
             for ((_, _, part), bounds) in runs.into_iter().zip(&part_bounds) {
-                stats.bounded += bounds.bounded;
-                stats.fallbacks += bounds.fallbacks;
-                let part_output_bound = bounds.log2.get(&full).copied();
+                let part_output_bound = bounds.log2[&full];
                 let chosen = self.choose(logical, bounds);
                 cost = cost.max(chosen.predicted);
-                union_bound = log2_sum(union_bound, part_output_bound.unwrap_or(f64::INFINITY));
+                union_bound = log2_sum(union_bound, part_output_bound);
                 branches.push(PartitionBranch {
                     relation: part.into(),
                     plan: chosen.physical,
-                    log2_bound: part_output_bound,
+                    log2_bound: Some(part_output_bound),
                 });
             }
             // The union materializes the sum of the parts' outputs; charge
             // it so a partition never hides its own final materialization.
             let total_cost = cost.max(union_bound);
-            if total_cost < monolithic_cost && best.as_ref().is_none_or(|b| total_cost < b.cost) {
+            if total_cost < threshold {
                 best = Some(PartitionedPick {
                     parts: branches.len(),
                     node: PhysicalNode::PartitionedUnion {
@@ -1114,6 +1031,114 @@ impl Optimizer {
             }
         }
         Ok(best)
+    }
+
+    /// The most-skewed simple conditionals, at most
+    /// [`PlannerConfig::max_partition_candidates`]: `(atom, U position)` for
+    /// each [`simple_conditional`] whose `log₂(max/avg degree)` reaches
+    /// [`PlannerConfig::partition_skew_log2`].
+    fn skew_candidates(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+    ) -> Result<Vec<(usize, usize)>, ExecError> {
+        let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
+        for j in 0..query.n_atoms() {
+            let rel_name = &query.atoms()[j].relation;
+            let rel = catalog.get(rel_name)?;
+            if rel.arity() < 2 || rel.is_empty() {
+                continue;
+            }
+            let attrs: Vec<String> = rel.schema().attrs().to_vec();
+            for pos in 0..attrs.len() {
+                let (v, u) = simple_conditional(&attrs, pos);
+                let linf = catalog.log_norm(rel_name, &v, &u, Norm::Infinity)?;
+                let l1 = catalog.log_norm(rel_name, &v, &u, Norm::L1)?;
+                let distinct_u = catalog.log_norm(rel_name, &u, &[], Norm::L1)?;
+                // log₂(max degree / average degree).
+                let skew = linf - (l1 - distinct_u);
+                if skew >= self.config.partition_skew_log2 {
+                    candidates.push((skew, j, pos));
+                }
+            }
+        }
+        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        candidates.truncate(self.config.max_partition_candidates);
+        Ok(candidates.into_iter().map(|(_, j, pos)| (j, pos)).collect())
+    }
+
+    /// Split atom `j`'s relation light/heavy on the [`simple_conditional`]
+    /// at `pos` and pose the query once per non-empty part, over a derived
+    /// catalog that shares every other relation (and its cached statistics)
+    /// and materializes the part's own norms.  `None` below two parts.
+    fn partition_runs(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+        j: usize,
+        pos: usize,
+    ) -> Result<Option<Vec<PartRun>>, ExecError> {
+        let rel = catalog.get(&query.atoms()[j].relation)?;
+        let (v, u) = simple_conditional(rel.schema().attrs(), pos);
+        let Some((light, heavy)) = split_light_heavy(&rel, &v, &u)? else {
+            return Ok(None);
+        };
+        let mut runs = Vec::new();
+        for part in [light, heavy] {
+            if part.is_empty() {
+                continue;
+            }
+            let part_catalog = catalog.derive_with(part.clone());
+            if self.config.prewarm_statistics {
+                let collector = StatisticsCollector::with_norms(
+                    CollectConfig::with_max_norm(self.config.max_norm).norms,
+                );
+                collector.materialize_relation(&part_catalog, part.name())?;
+            }
+            let part_query = query.with_atom_relation(j, part.name())?;
+            runs.push((part_query, part_catalog, part));
+        }
+        Ok((runs.len() >= 2).then_some(runs))
+    }
+
+    /// Per-part bound tables for a partition of atom `j`, as deltas of the
+    /// monolithic table `mono` (subsets without `j` keep their bound).  Each
+    /// part's full-query LP comes first; the candidate is dropped (`None`)
+    /// when the log₂-sum of those outputs reaches `threshold` — exact, as a
+    /// partitioned plan costs at least its union bound.  A survivor bounds
+    /// its other subsets containing `j` in one batch across parts.  Every
+    /// LP, screen included, counts toward `stats`.
+    fn part_bounds(
+        &self,
+        runs: &[(&JoinQuery, &Catalog)],
+        logical: &LogicalPlan,
+        mono: &Bounds,
+        j: usize,
+        threshold: f64,
+        stats: &mut PartitionSearchStats,
+    ) -> Result<Option<Vec<Bounds>>, ExecError> {
+        let full: u64 = (1u64 << logical.n_atoms()) - 1;
+        let atom_map: Vec<Option<usize>> = (0..logical.n_atoms())
+            .map(|k| (k != j).then_some(k))
+            .collect();
+        let mut tables = runs
+            .iter()
+            .map(|&(q, c)| Bounds::scans(q, c, logical))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.bound_delta(runs, &mut tables, logical, &[full], &mono.log2, &atom_map);
+        let union_bound = tables
+            .iter()
+            .fold(f64::NEG_INFINITY, |acc, t| log2_sum(acc, t.log2[&full]));
+        let survives = union_bound < threshold;
+        if survives {
+            let rest: Vec<u64> = mono.multi().filter(|&s| s != full).collect();
+            self.bound_delta(runs, &mut tables, logical, &rest, &mono.log2, &atom_map);
+        }
+        for t in &tables {
+            stats.bounded += t.bounded;
+            stats.fallbacks += t.fallbacks;
+        }
+        Ok(survives.then_some(tables))
     }
 }
 
@@ -1470,49 +1495,16 @@ struct PartitionSearchStats {
     fallbacks: usize,
 }
 
-/// Fold one batch's per-subset results into the DP's [`Bounds`] table:
-/// singletons cost their scan size; a multi-atom subset whose bound attempt
-/// failed (or came back unbounded) costs the pessimistic per-atom product.
-/// `multi` lists the masks `results` is positionally aligned with.
-fn fold_bounds(
-    query: &JoinQuery,
-    catalog: &Catalog,
-    logical: &LogicalPlan,
-    multi: &[u64],
-    subsets: &[u64],
-    results: &[Result<BoundResult, CoreError>],
-) -> Result<Bounds, ExecError> {
-    let m = logical.n_atoms();
-    let mut scan_log2 = Vec::with_capacity(m);
-    let mut log2: HashMap<u64, f64> = HashMap::new();
-    for j in 0..m {
-        let size = catalog.get(&query.atoms()[j].relation)?.len();
-        let s = (size.max(1) as f64).log2();
-        scan_log2.push(s);
-        log2.insert(1u64 << j, s);
-    }
-    let mut bounded = 0usize;
-    let mut fallbacks = 0usize;
-    for (i, &mask) in multi.iter().enumerate() {
-        let value = match &results[i] {
-            Ok(b) if b.is_bounded() => {
-                bounded += 1;
-                b.log2_bound
-            }
-            _ => {
-                fallbacks += 1;
-                logical.atoms_of(mask).map(|j| scan_log2[j]).sum()
-            }
-        };
-        log2.insert(mask, value);
-    }
-    Ok(Bounds {
-        log2,
-        scan_log2,
-        subsets: subsets.to_vec(),
-        bounded,
-        fallbacks,
-    })
+/// The simple conditional `(V | U)` of a relation with attributes `attrs`:
+/// `U` is the attribute at `pos`, `V` all the others.
+fn simple_conditional(attrs: &[String], pos: usize) -> (Vec<&str>, [&str; 1]) {
+    let v = attrs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != pos)
+        .map(|(_, a)| a.as_str())
+        .collect();
+    (v, [attrs[pos].as_str()])
 }
 
 /// `log₂(2^a + 2^b)` without overflowing: the sum-of-parts combination of
@@ -1607,10 +1599,16 @@ fn build_bushy(mask: u64, best: &HashMap<u64, (f64, Choice)>, bounds: &Bounds) -
 }
 
 #[cfg(test)]
+#[path = "../tests/support/skewed.rs"]
+mod skewed;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::execute_physical;
     use lpb_data::RelationBuilder;
+    use lpb_datagen::{job_like_catalog, job_like_queries, planner_workloads, JobLikeConfig};
+    use proptest::prelude::*;
 
     fn clique_catalog() -> Catalog {
         let mut edges = Vec::new();
@@ -1992,5 +1990,212 @@ mod tests {
         let plan = Optimizer::new().plan(&q, &catalog).unwrap();
         assert!(plan.greedy_predicted_log2_cost.is_finite());
         assert!(plan.greedy_predicted_log2_cost >= plan.predicted_log2_cost);
+    }
+
+    fn sequential(config: PlannerConfig) -> Optimizer {
+        Optimizer::new()
+            .with_config(config)
+            .with_estimator(BatchEstimator::new().sequential())
+    }
+
+    fn corpus_workload(name: &str) -> (JoinQuery, Catalog) {
+        let w = planner_workloads(1)
+            .into_iter()
+            .find(|w| w.name == name)
+            .unwrap();
+        (w.query, w.catalog)
+    }
+
+    /// JOB-like query 4 over the 200-movie catalog the pinned plans use.
+    fn job_like_q4() -> (JoinQuery, Catalog) {
+        let query = job_like_queries().into_iter().nth(3).unwrap().query;
+        let catalog = job_like_catalog(&JobLikeConfig {
+            movies: 200,
+            link_fanout: 2,
+            seed: 23,
+            ..JobLikeConfig::default()
+        });
+        (query, catalog)
+    }
+
+    /// For every candidate with a split (any skew, no candidate cap), fill
+    /// the parts' tables through the reuse path with nothing screened, and
+    /// check each against `harvest_bounds` run on that part alone by a
+    /// fresh optimizer: same subsets and scans, and every mask's bound
+    /// within 1e-9 in log₂.  Returns how many part tables were checked.
+    fn check_part_tables_against_fresh_harvests(query: &JoinQuery, catalog: &Catalog) -> usize {
+        let config = PlannerConfig {
+            partition_skew_log2: 0.0,
+            max_partition_candidates: usize::MAX,
+            ..PlannerConfig::default()
+        };
+        let optimizer = sequential(config.clone());
+        let logical = LogicalPlan::of(query);
+        let no_prior = vec![None; query.n_atoms()];
+        optimizer.prewarm(query, catalog).unwrap();
+        let (mono, _) = optimizer
+            .harvest_bounds(query, catalog, &logical, &HashMap::new(), &no_prior)
+            .unwrap();
+        let mut checked = 0;
+        for (j, pos) in optimizer.skew_candidates(query, catalog).unwrap() {
+            let Some(runs) = optimizer.partition_runs(query, catalog, j, pos).unwrap() else {
+                continue;
+            };
+            let refs: Vec<(&JoinQuery, &Catalog)> = runs.iter().map(|(q, c, _)| (q, c)).collect();
+            let mut stats = PartitionSearchStats::default();
+            let tables = optimizer
+                .part_bounds(&refs, &logical, &mono, j, f64::INFINITY, &mut stats)
+                .unwrap()
+                .expect("an infinite threshold screens nothing");
+            for (&(part_query, part_catalog), table) in refs.iter().zip(&tables) {
+                let (alone, reused) = sequential(config.clone())
+                    .harvest_bounds(
+                        part_query,
+                        part_catalog,
+                        &logical,
+                        &HashMap::new(),
+                        &no_prior,
+                    )
+                    .unwrap();
+                assert_eq!(reused, 0);
+                assert_eq!(table.subsets, alone.subsets);
+                assert_eq!(table.scan_log2, alone.scan_log2);
+                assert_eq!(table.log2.len(), alone.log2.len());
+                for (mask, want) in &alone.log2 {
+                    let got = table.log2[mask];
+                    assert!(
+                        (got - want).abs() <= 1e-9,
+                        "{} split on atom {j}: mask {mask:#b} is {got} via reuse, {want} alone",
+                        query.name()
+                    );
+                }
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn partition_reuse_matches_fresh_harvests_on_the_skewed_corpus() {
+        for (query, catalog) in [
+            corpus_workload("skewed-triangle"),
+            corpus_workload("partition-skew"),
+            job_like_q4(),
+        ] {
+            assert!(
+                check_part_tables_against_fresh_harvests(&query, &catalog) >= 2,
+                "{}: no partition candidate was checked",
+                query.name()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The same differential check on random hub-skewed relations, over
+        /// a cyclic self-join (the split relation also appears at an atom
+        /// the split leaves alone) and a chain.
+        #[test]
+        fn partition_reuse_matches_fresh_harvests_on_random_skew(
+            r in skewed::arb_skewed_pairs(),
+            s in skewed::arb_skewed_pairs(),
+        ) {
+            let mut catalog = Catalog::new();
+            catalog.insert(RelationBuilder::binary_from_pairs("R", "x", "y", r));
+            catalog.insert(RelationBuilder::binary_from_pairs("S", "x", "y", s));
+            let atom = |rel: &str, a: &str, b: &str| lpb_core::Atom::new(rel, &[a, b]);
+            let triangle = JoinQuery::new(
+                "rsr-triangle",
+                vec![atom("R", "A", "B"), atom("S", "B", "C"), atom("R", "C", "A")],
+            )
+            .unwrap();
+            let chain = JoinQuery::new(
+                "rsrs-chain",
+                vec![
+                    atom("R", "A", "B"),
+                    atom("S", "B", "C"),
+                    atom("R", "C", "D"),
+                    atom("S", "D", "E"),
+                ],
+            )
+            .unwrap();
+            for query in [triangle, chain] {
+                check_part_tables_against_fresh_harvests(&query, &catalog);
+            }
+        }
+    }
+
+    /// `(LPs the plan call estimated, connected multi-atom subsets, those
+    /// containing atom j)` for planning `query` with `optimizer`.
+    fn plan_work(
+        optimizer: &Optimizer,
+        query: &JoinQuery,
+        catalog: &Catalog,
+        j: usize,
+    ) -> (OptimizedPlan, usize, usize, usize) {
+        let before = optimizer.estimator().lps_estimated();
+        let plan = optimizer.plan(query, catalog).unwrap();
+        let lps = optimizer.estimator().lps_estimated() - before;
+        let subsets = LogicalPlan::of(query).connected_subsets();
+        let multi: Vec<u64> = subsets
+            .into_iter()
+            .filter(|s| s.count_ones() >= 2)
+            .collect();
+        let containing = multi.iter().filter(|&&s| s & (1u64 << j) != 0).count();
+        (plan, lps, multi.len(), containing)
+    }
+
+    #[test]
+    fn a_surviving_candidate_bounds_only_subjoins_containing_the_split_atom() {
+        let (query, catalog) = corpus_workload("skewed-triangle");
+        let optimizer = sequential(PlannerConfig {
+            max_partition_candidates: 1,
+            ..PlannerConfig::default()
+        });
+        optimizer.prewarm(&query, &catalog).unwrap();
+        let (j, _) = optimizer.skew_candidates(&query, &catalog).unwrap()[0];
+        let (plan, lps, multi, containing) = plan_work(&optimizer, &query, &catalog, j);
+        // The triangle's edge opposite the split atom is reused.
+        assert_eq!((multi, containing), (4, 3));
+        assert_eq!(plan.parts_planned, 2);
+        assert_eq!(
+            plan.partition_subqueries_bounded + plan.partition_bound_fallbacks,
+            2 * containing
+        );
+        assert_eq!(plan.partition_bound_fallbacks, 0);
+        assert_eq!(lps, multi + 2 * containing);
+    }
+
+    #[test]
+    fn a_screened_candidate_solves_one_full_query_lp_per_part() {
+        // The misleading chain's skewed middle atom splits, but its parts'
+        // summed output bound already exceeds the monolithic bottleneck.
+        let (query, catalog) = corpus_workload("misleading-chain");
+        let config = PlannerConfig {
+            max_partition_candidates: 1,
+            ..PlannerConfig::default()
+        };
+        let optimizer = sequential(config.clone());
+        optimizer.prewarm(&query, &catalog).unwrap();
+        let (j, _) = optimizer.skew_candidates(&query, &catalog).unwrap()[0];
+        let (plan, lps, multi, _) = plan_work(&optimizer, &query, &catalog, j);
+        assert_eq!(plan.parts_planned, 0);
+        assert_eq!(
+            plan.predicted_log2_cost,
+            plan.monolithic_predicted_log2_cost
+        );
+        // The screen's LPs still count as partition work.
+        assert_eq!(plan.partition_subqueries_bounded, 2);
+        assert_eq!(plan.partition_bound_fallbacks, 0);
+        assert_eq!(lps, multi + 2);
+        let off = sequential(PlannerConfig {
+            enable_partitioning: false,
+            ..config
+        })
+        .plan(&query, &catalog)
+        .unwrap();
+        assert_eq!(plan.physical.describe(), off.physical.describe());
+        assert_eq!(plan.order, off.order);
     }
 }

@@ -35,7 +35,9 @@
 //!
 //! Capacity is bounded: inserts past [`PlanCache::with_capacity`]'s limit
 //! evict the oldest entry (insertion order), which under an epoch bump
-//! naturally cycles the dead generation out as the new one fills in.
+//! naturally cycles the dead generation out as the new one fills in.  An
+//! owner that knows its lineage's current epoch frees the dead generations
+//! at once with [`PlanCache::retain_from_epoch`].
 
 use crate::error::ExecError;
 use crate::optimizer::{OptimizedPlan, Optimizer};
@@ -169,6 +171,17 @@ impl PlanCache {
         }
         let plan = optimizer.plan(query, catalog)?;
         Ok((self.insert(query, catalog, plan), false))
+    }
+
+    /// Drop every plan cached under an epoch older than `epoch`.  Epochs of
+    /// one catalog lineage only grow, so once the lineage has published
+    /// `epoch` no probe at an older one is served from a fresh snapshot
+    /// again; the dead generation (and the part relations its partitioned
+    /// plans hold) is freed now instead of when capacity evicts it.
+    pub fn retain_from_epoch(&self, epoch: u64) {
+        let mut inner = self.inner.lock().expect("plan cache lock poisoned");
+        inner.map.retain(|(_, e), _| *e >= epoch);
+        inner.order.retain(|(_, e)| *e >= epoch);
     }
 
     /// Cache probes that found a plan.
@@ -328,6 +341,38 @@ mod tests {
         let (_, hit) = cache.get_or_plan(&optimizer, &q, &absorbed).unwrap();
         assert!(!hit, "stale-epoch plan served after absorb_observed");
         assert!(cache.get_or_plan(&optimizer, &q, &absorbed).unwrap().1);
+    }
+
+    #[test]
+    fn retain_from_epoch_drops_only_older_generations() {
+        let base = catalog();
+        let cache = PlanCache::default();
+        let optimizer = Optimizer::new();
+        let q = JoinQuery::triangle("E", "E", "E");
+        let p = JoinQuery::path(&["E", "E"]);
+        cache.get_or_plan(&optimizer, &q, &base).unwrap();
+        cache.get_or_plan(&optimizer, &p, &base).unwrap();
+        let successor = base.successor_with(RelationBuilder::binary_from_pairs(
+            "E",
+            "a",
+            "b",
+            (0..4u64).map(|i| (i, i + 1)),
+        ));
+        cache.get_or_plan(&optimizer, &q, &successor).unwrap();
+        assert_eq!(cache.len(), 3);
+        cache.retain_from_epoch(successor.epoch());
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&q, &base).is_none());
+        assert!(cache.get(&q, &successor).is_some());
+        // The insertion queue forgot the dropped keys too: filling to
+        // capacity evicts live entries only in insertion order.
+        let small = PlanCache::with_capacity(1);
+        small.get_or_plan(&optimizer, &q, &base).unwrap();
+        small.retain_from_epoch(successor.epoch());
+        small.get_or_plan(&optimizer, &q, &successor).unwrap();
+        small.get_or_plan(&optimizer, &p, &successor).unwrap();
+        assert_eq!(small.len(), 1);
+        assert!(small.get(&p, &successor).is_some());
     }
 
     #[test]

@@ -10,6 +10,10 @@ use lpb_exec::{partition_by_degree, partition_for_statistic, split_light_heavy, 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+#[path = "support/skewed.rs"]
+mod skewed;
+use skewed::arb_skewed_pairs;
+
 const ATTRS: [&str; 4] = ["a", "b", "c", "d"];
 
 /// A relation of arity 1–4 over small domains, built with `from_columns`
@@ -135,27 +139,6 @@ fn oracle_light_heavy(rel: &Relation, v: &[&str], u: &[&str]) -> Option<(Relatio
         builder.build()
     };
     Some((merge("light", false), merge("heavy", true)))
-}
-
-/// Random pairs with planted hubs: a few `y`-values of large `x`-fan-out on
-/// top of a uniform background, so degree buckets are non-trivial.
-fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    (
-        1u64..4,
-        8u64..40,
-        proptest::collection::vec((0u64..40, 0u64..12), 1..120),
-    )
-        .prop_map(|(hubs, fanout, background)| {
-            let mut pairs: Vec<(u64, u64)> = Vec::new();
-            for h in 0..hubs {
-                for j in 0..fanout {
-                    // Hub h: `fanout` distinct x values all mapping to y = h.
-                    pairs.push((1000 + h * 100 + j, h));
-                }
-            }
-            pairs.extend(background);
-            pairs
-        })
 }
 
 proptest! {

@@ -32,7 +32,8 @@ pub struct ServeConfig {
     /// The coalescer's gather window: how long a round's leader waits for
     /// followers before planning the batch.  Zero disables coalescing.
     pub gather_window: Duration,
-    /// Plan-cache capacity (plans, across epochs; oldest-insert eviction).
+    /// Plan-cache capacity (plans; oldest-insert eviction).  Every coalesced
+    /// re-plan also drops the plans of superseded epochs.
     pub plan_cache_capacity: usize,
     /// Execution mode for served queries.
     pub exec_mode: ExecMode,
@@ -85,7 +86,8 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Plan-cache probes that missed (stale-epoch probes included).
     pub cache_misses: u64,
-    /// Plans currently cached.
+    /// Plans currently cached.  Each re-plan drops the plans of superseded
+    /// epochs, so this stays near the number of distinct shapes served.
     pub cached_plans: u64,
     /// Coalescing rounds planned.
     pub batches: u64,
@@ -253,7 +255,8 @@ impl QueryService {
             .submit(query.clone(), Arc::clone(snapshot), |batch| {
                 let refs: Vec<(&JoinQuery, &Catalog)> =
                     batch.iter().map(|(q, c)| (q, &**c)).collect();
-                self.optimizer
+                let plans = self
+                    .optimizer
                     .plan_many(&refs)
                     .into_iter()
                     .zip(batch)
@@ -261,7 +264,11 @@ impl QueryService {
                         Ok(plan) => Ok(self.plan_cache.insert(q, c, plan)),
                         Err(e) => Err(ServeError::from(e)),
                     })
-                    .collect()
+                    .collect();
+                // Plans of superseded epochs can never hit again; drop them
+                // (each requester already holds its own handle).
+                self.plan_cache.retain_from_epoch(self.cell.epoch());
+                plans
             })?;
         Ok(QueryResponse {
             output_size: 0,
@@ -380,7 +387,7 @@ mod tests {
         // 0→1→2, 1→2→3: two 2-paths on the replacement data.
         assert_eq!(after.output_size, 2);
         assert_ne!(after.output_size, before.output_size);
-        // Old and new generations both cached now.
+        // The new generation is cached now.
         assert!(service.execute(&q).unwrap().cache_hit);
     }
 
@@ -412,6 +419,42 @@ mod tests {
         // Same base data, so the answer is unchanged — only the plan was
         // re-proved against the new statistics epoch.
         assert_eq!(after.output_size, before.output_size);
+    }
+
+    /// Publishes leave no dead plans behind: after each re-plan the cache
+    /// holds only live-epoch plans, at most one per shape served.
+    #[test]
+    fn republished_epochs_do_not_accumulate_cached_plans() {
+        let service = QueryService::with_config(
+            ServeConfig {
+                gather_window: Duration::ZERO,
+                ..ServeConfig::default()
+            },
+            catalog(),
+        );
+        let shapes = [
+            JoinQuery::triangle("E", "E", "E"),
+            JoinQuery::path(&["E", "E"]),
+            JoinQuery::path(&["E", "E", "E"]),
+        ];
+        for _ in 0..5 {
+            for q in &shapes {
+                service.execute(q).unwrap();
+            }
+            let current = service.snapshot();
+            service.replace_relation(current.get("E").unwrap());
+        }
+        for q in &shapes {
+            assert!(!service.execute(q).unwrap().cache_hit);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.publishes, 5);
+        assert!(
+            stats.cached_plans <= shapes.len() as u64,
+            "{} plans cached for {} shapes",
+            stats.cached_plans,
+            shapes.len()
+        );
     }
 
     /// Writers never disturb in-flight readers: a worker that grabbed a
