@@ -9,9 +9,11 @@
 //!    lock-free snapshot acquisition) and cycling through six JOB-like
 //!    query shapes from a staggered start,
 //! 2. releases all clients from a barrier and, while they run, publishes
-//!    three epoch-bumped successor snapshots from a writer thread (at ¼, ½
-//!    and ¾ of the request budget) — so every row also measures re-plan
-//!    storms after cache invalidation, and readers racing pointer swaps,
+//!    three successor snapshots from a writer thread (at ¼, ½ and ¾ of the
+//!    request budget), each republishing every relation the shapes read in
+//!    one update — so every cached plan misses, every row also measures
+//!    re-plan storms after cache invalidation, and readers race pointer
+//!    swaps,
 //! 3. records per-request plan latency split by cache hit/miss, asserting
 //!    zero certificate violations everywhere (in-flight requests finish on
 //!    their admission snapshots, so a concurrent publish can never fail a
@@ -98,10 +100,16 @@ fn run_load(smoke: bool, clients: usize, iters: usize) -> LoadRow {
     let completed = AtomicU64::new(0);
     // Clients + the writer + this (timing) thread.
     let barrier = Barrier::new(clients + 2);
-    // The writer republishes this relation verbatim: same data, bumped
-    // statistics epoch — the cheapest way to invalidate every cached plan
-    // and force a concurrent re-plan storm.
-    let republished = queries[0].atoms()[0].relation.clone();
+    // The writer republishes every relation the shapes read, verbatim: same
+    // data, new versions.  The plan cache keys on the versions of the
+    // relations a shape reads, so only a write to all of them invalidates
+    // every cached plan and forces a concurrent re-plan storm.
+    let mut republished: Vec<String> = Vec::new();
+    for atom in queries.iter().flat_map(|q| q.atoms()) {
+        if !republished.contains(&atom.relation) {
+            republished.push(atom.relation.clone());
+        }
+    }
 
     let (samples, elapsed) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(clients);
@@ -134,9 +142,10 @@ fn run_load(smoke: bool, clients: usize, iters: usize) -> LoadRow {
                 samples
             }));
         }
-        // The writer: three epoch-bumping publishes paced by client
-        // progress, so every run (any client count, any machine speed)
-        // sees the same invalidation pattern.
+        // The writer: three publishes paced by client progress, so every
+        // run (any client count, any machine speed) sees the same
+        // invalidation pattern.  Each is one `update`: one snapshot swap
+        // that replaces every relation the shapes read.
         let writer = {
             let service = Arc::clone(&service);
             let barrier = &barrier;
@@ -149,11 +158,16 @@ fn run_load(smoke: bool, clients: usize, iters: usize) -> LoadRow {
                     while completed.load(Ordering::Relaxed) < threshold {
                         std::thread::sleep(Duration::from_micros(200));
                     }
-                    let relation = service
-                        .snapshot()
-                        .get(republished)
-                        .expect("republished relation");
-                    service.replace_relation(relation);
+                    service.snapshot_cell().update(|base| {
+                        let mut next = base.successor_with(
+                            base.get(&republished[0]).expect("republished relation"),
+                        );
+                        for name in &republished[1..] {
+                            next =
+                                next.successor_with(next.get(name).expect("republished relation"));
+                        }
+                        next
+                    });
                 }
             })
         };

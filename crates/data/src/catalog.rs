@@ -110,6 +110,8 @@ pub struct Catalog {
     relations: HashMap<String, Arc<Relation>>,
     stats: RwLock<StatsCache>,
     epoch: u64,
+    /// Per relation name, the epoch at which its statistics last changed.
+    versions: HashMap<String, u64>,
 }
 
 impl Catalog {
@@ -119,11 +121,27 @@ impl Catalog {
     }
 
     /// The statistics epoch: bumped whenever a relation is replaced
-    /// ([`insert`](Self::insert)) or observed statistics are absorbed
-    /// ([`absorb_observed`](Self::absorb_observed)), so plan caches and
-    /// re-planners can tell whether their statistics are current.
+    /// ([`insert`](Self::insert), [`successor_with`](Self::successor_with))
+    /// or observed statistics are absorbed
+    /// ([`absorb_observed`](Self::absorb_observed)).  It versions the
+    /// catalog as a whole; a cache whose entries depend on only some
+    /// relations keys on their [`relation_version`](Self::relation_version)s
+    /// instead, so a write to one relation leaves the others' entries live.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The epoch at which `name`'s statistics last changed: the epoch its
+    /// latest [`insert`](Self::insert), [`successor_with`](Self::successor_with)
+    /// or [`absorb_observed`](Self::absorb_observed) produced.  Every other
+    /// write carries it over unchanged, so two catalogs of one lineage that
+    /// agree on a relation's version hold the same relation and statistics
+    /// for it.  [`derive_with`](Self::derive_with) views keep the version of
+    /// a name they rebind (same-epoch views carry the same statistics by
+    /// definition) and give a new name the current epoch.  `None` for an
+    /// unknown name.
+    pub fn relation_version(&self, name: &str) -> Option<u64> {
+        self.versions.get(name).copied()
     }
 
     /// Register a relation under its own name, replacing any previous
@@ -136,6 +154,7 @@ impl Catalog {
         stats.exact.retain(|k| k.relation != name);
         drop(stats);
         self.epoch += 1;
+        self.versions.insert(name.clone(), self.epoch);
         self.relations.insert(name, Arc::new(relation));
     }
 
@@ -305,12 +324,25 @@ impl Catalog {
             .clone();
         stats.values.retain(|k, _| k.relation != name);
         stats.exact.retain(|k| k.relation != name);
+        let mut versions = self.versions.clone();
+        versions.entry(name.clone()).or_insert(self.epoch);
         relations.insert(name, relation);
         Catalog {
             relations,
             stats: RwLock::new(stats),
             epoch: self.epoch,
+            versions,
         }
+    }
+
+    /// [`derive_with`](Self::derive_with) at the next epoch, with the
+    /// rebound name's version moved to it.
+    fn derive_next(&self, relation: Arc<Relation>) -> Catalog {
+        let name = relation.name().to_string();
+        let mut next = self.derive_with(relation);
+        next.epoch = self.epoch + 1;
+        next.versions.insert(name, next.epoch);
+        next
     }
 
     /// Like [`derive_with`](Self::derive_with), but **bumps the statistics
@@ -318,14 +350,15 @@ impl Catalog {
     /// same-epoch view.  This is the write path of a long-lived service —
     /// build the successor off to the side (relations `Arc`-shared, the
     /// replaced name's cached statistics dropped), publish it with a
-    /// pointer swap, and let every epoch-keyed cache (plan caches, LP shape
-    /// caches) miss-and-refill against the new epoch.  Contrast
-    /// `derive_with`, whose per-part sub-catalogs deliberately *keep* the
-    /// epoch (they are alternate views of the same statistics version).
+    /// pointer swap.  The replaced name's
+    /// [`relation_version`](Self::relation_version) moves to the new epoch
+    /// and every other relation keeps its own, so a cache keyed on the
+    /// versions of the relations an entry reads (the plan cache) misses only
+    /// for entries that read the replaced relation.  Contrast `derive_with`,
+    /// whose per-part sub-catalogs deliberately *keep* the epoch (they are
+    /// alternate views of the same statistics version).
     pub fn successor_with(&self, relation: impl Into<Arc<Relation>>) -> Catalog {
-        let mut successor = self.derive_with(relation);
-        successor.epoch = self.epoch + 1;
-        successor
+        self.derive_next(relation.into())
     }
 
     /// Feed an **observed** relation (a materialized intermediate whose
@@ -333,8 +366,9 @@ impl Catalog {
     /// returned with the relation registered, its standard statistics
     /// (`Norm::standard_set(max_norm)` conditionals, the same set the
     /// planner prewarms) computed from the actual rows and flagged
-    /// **exact**, and the statistics epoch bumped.  Chainable: absorbing
-    /// several intermediates derives through each in turn.
+    /// **exact**, and the statistics epoch bumped (the relation's
+    /// [`relation_version`](Self::relation_version) with it).  Chainable:
+    /// absorbing several intermediates derives through each in turn.
     ///
     /// Exact entries are write-protected until the relation is replaced —
     /// see [`record_statistic`](Self::record_statistic) — so a collector
@@ -347,8 +381,7 @@ impl Catalog {
     ) -> Result<Catalog, DataError> {
         let relation = relation.into();
         let name = relation.name().to_string();
-        let mut derived = self.derive_with(relation);
-        derived.epoch = self.epoch + 1;
+        let derived = self.derive_next(relation);
         let set = crate::stats::StatisticsCollector::standard(max_norm)
             .materialize_relation(&derived, &name)?;
         {
@@ -604,6 +637,69 @@ mod tests {
         // The base catalog is untouched (the successor is built aside).
         assert_eq!(c.epoch(), epoch);
         assert_eq!(c.get("R").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn relation_versions_move_only_for_the_written_name() {
+        let mut c = catalog();
+        c.insert(RelationBuilder::binary_from_pairs(
+            "S",
+            "y",
+            "z",
+            vec![(10, 1)],
+        ));
+        let (r, s) = (c.relation_version("R"), c.relation_version("S"));
+        assert_eq!(r, Some(1));
+        assert_eq!(s, Some(2));
+        assert_eq!(c.relation_version("missing"), None);
+
+        // A replace moves the written name to the new epoch only.
+        let successor = c.successor_with(RelationBuilder::binary_from_pairs(
+            "R",
+            "x",
+            "y",
+            vec![(2, 20)],
+        ));
+        assert_eq!(successor.relation_version("R"), Some(successor.epoch()));
+        assert_eq!(successor.relation_version("S"), s);
+        assert_eq!(c.relation_version("R"), r);
+
+        // Same-epoch views keep a rebound name's version; a new name gets
+        // the view's epoch.
+        let view = c.derive_with(RelationBuilder::binary_from_pairs(
+            "S",
+            "y",
+            "z",
+            vec![(1, 1)],
+        ));
+        assert_eq!(view.relation_version("S"), s);
+        let view = c.derive_with(RelationBuilder::binary_from_pairs(
+            "T",
+            "a",
+            "b",
+            vec![(1, 1)],
+        ));
+        assert_eq!(view.relation_version("T"), Some(c.epoch()));
+
+        // Absorbing observed rows versions the observed name only.
+        let absorbed = c
+            .absorb_observed(
+                RelationBuilder::binary_from_pairs("Obs", "a", "b", vec![(1, 1)]),
+                2,
+            )
+            .unwrap();
+        assert_eq!(absorbed.relation_version("Obs"), Some(absorbed.epoch()));
+        assert_eq!(absorbed.relation_version("R"), r);
+
+        // `insert` versions the inserted name at its bumped epoch.
+        c.insert(RelationBuilder::binary_from_pairs(
+            "S",
+            "y",
+            "z",
+            vec![(3, 3)],
+        ));
+        assert_eq!(c.relation_version("S"), Some(c.epoch()));
+        assert_eq!(c.relation_version("R"), r);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use hash_join::{hash_join, hash_join_columns, semi_join, semi_join_bitmap, s
 pub use logical::{validate_atom_permutation, JoinPlan, LogicalPlan};
 pub use morsel::{execute_physical_mode, ColumnRun, ExecMode};
 pub use optimizer::{
-    AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig,
+    AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig, Prior,
     SubjoinBounds,
 };
 pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};

@@ -187,6 +187,11 @@ pub struct OptimizedPlan {
     pub partition_bound_fallbacks: usize,
     /// Wall-clock planning time.
     pub plan_time: Duration,
+    /// The monolithic sub-join bound table the DP planned from (empty for
+    /// a greedy fallback plan): the prior a later re-plan of the same shape
+    /// reuses through [`plan_many`](Optimizer::plan_many) for every
+    /// sub-join whose relations did not change.
+    pub bounds: SubjoinBounds,
 }
 
 impl OptimizedPlan {
@@ -273,8 +278,16 @@ impl Bounds {
 }
 
 /// A [`plan_many`](Optimizer::plan_many) request ready for the shared
-/// batch: join graph, greedy order, scan table, multi-atom subsets.
+/// batch: join graph, greedy order, bound table (scans plus whatever the
+/// prior proved), and the multi-atom subsets still to bound.
 type Prepared = (LogicalPlan, JoinPlan, Bounds, Vec<Vec<usize>>);
+
+/// A bound table to reuse when planning a query: a previous plan's
+/// [`SubjoinBounds`], and for each atom of the query being planned the atom
+/// of that previous query it carries over unchanged (`Some(old)`: same
+/// relation, same statistics) or `None` for an atom whose relation changed.
+/// See [`Optimizer::plan_delta`] and [`Optimizer::plan_many`].
+pub type Prior<'a> = (&'a SubjoinBounds, &'a [Option<usize>]);
 
 /// One part of a degree partition: the query with the split atom rebound to
 /// the part, the derived catalog holding it, and the part relation.
@@ -347,14 +360,12 @@ impl Optimizer {
         Ok((table, reused))
     }
 
-    /// Fill `masks` into every run's table.  A subset whose atoms all map
-    /// through `atom_map` (`Some(old)` = carried over unchanged) is the same
-    /// sub-join as the `prior` subset it remaps to and takes that bound; the
-    /// rest go through **one** warm-started
-    /// [`BatchEstimator::bound_subqueries_multi`] batch across the runs,
-    /// which share the join graph and `atom_map` (the parts of a degree
-    /// partition re-solve each LP shape warm with their own right-hand
-    /// sides).  Returns how many subsets each run reused.
+    /// Fill `masks` into every run's table.  The subsets `prior` proves
+    /// (see [`reuse_prior`]) take their bound from it; the rest go through
+    /// **one** warm-started [`BatchEstimator::bound_subqueries_multi`] batch
+    /// across the runs, which share the join graph and `atom_map` (the parts
+    /// of a degree partition re-solve each LP shape warm with their own
+    /// right-hand sides).  Returns how many subsets each run reused.
     fn bound_delta(
         &self,
         runs: &[(&JoinQuery, &Catalog)],
@@ -364,22 +375,8 @@ impl Optimizer {
         prior: &HashMap<u64, f64>,
         atom_map: &[Option<usize>],
     ) -> usize {
-        let mut reused = 0usize;
-        let mut fresh: Vec<u64> = Vec::new();
-        for &mask in masks {
-            let remapped = logical
-                .atoms_of(mask)
-                .try_fold(0u64, |acc, j| atom_map[j].map(|old| acc | (1u64 << old)));
-            match remapped.and_then(|old_mask| prior.get(&old_mask)) {
-                Some(&v) => {
-                    reused += 1;
-                    for table in tables.iter_mut() {
-                        table.log2.insert(mask, v);
-                    }
-                }
-                None => fresh.push(mask),
-            }
-        }
+        let fresh = reuse_prior(tables, logical, masks, prior, atom_map);
+        let reused = masks.len() - fresh.len();
         if !fresh.is_empty() {
             let fresh_atoms: Vec<Vec<usize>> = fresh
                 .iter()
@@ -521,12 +518,13 @@ impl Optimizer {
             });
         }
 
-        let atom_map: Vec<Option<usize>> = atom_map
-            .iter()
-            .map(|a| a.filter(|&old| old < prior.n_atoms))
-            .collect();
-        let (bounds, bounds_reused) =
-            self.harvest_bounds(query, catalog, &logical, &prior.log2, &atom_map)?;
+        let (bounds, bounds_reused) = self.harvest_bounds(
+            query,
+            catalog,
+            &logical,
+            &prior.log2,
+            &prior.clamp(atom_map),
+        )?;
         let chosen = self.choose(&logical, &bounds);
         Ok(DeltaPlan {
             physical: chosen.physical,
@@ -544,34 +542,45 @@ impl Optimizer {
     }
 
     /// Choose a physical plan for `query` over `catalog`: a one-request
-    /// [`plan_many`](Self::plan_many).
+    /// [`plan_many`](Self::plan_many) without a prior.
     pub fn plan(&self, query: &JoinQuery, catalog: &Catalog) -> Result<OptimizedPlan, ExecError> {
-        self.plan_many(&[(query, catalog)])
+        self.plan_many(&[(query, catalog, None)])
             .pop()
             .expect("one result per request")
     }
 
-    /// Plan several `(query, catalog)` requests with **one** warm-started LP
-    /// batch across all of them — the cross-query coalescing entry point the
-    /// `lpb-serve` layer drives.  Every request's connected sub-joins are
-    /// gathered into a single [`BatchEstimator::bound_subqueries_grouped`]
-    /// call, so sub-joins sharing an LP shape *across requests* re-solve
-    /// from one cold solve via dual warm starts (isomorphic queries from
-    /// different users collapse onto the same shapes), and per-shape cache
-    /// bookkeeping is paid once per batch instead of once per request.
+    /// Plan several `(query, catalog, prior)` requests with **one**
+    /// warm-started LP batch across all of them — the cross-query
+    /// coalescing entry point the `lpb-serve` layer drives.  Every request's
+    /// connected sub-joins are gathered into a single
+    /// [`BatchEstimator::bound_subqueries_grouped`] call, so sub-joins
+    /// sharing an LP shape *across requests* re-solve from one cold solve
+    /// via dual warm starts (isomorphic queries from different users
+    /// collapse onto the same shapes), and per-shape cache bookkeeping is
+    /// paid once per batch instead of once per request.
+    ///
+    /// A request with a [`Prior`] is a **delta re-plan**: each connected
+    /// sub-join whose atoms all carry over takes the prior's bound through
+    /// the same mask remap [`plan_delta`](Self::plan_delta) uses, and only
+    /// the others join the batch.  A service re-planning a cached shape
+    /// after a write passes the stale plan's [`OptimizedPlan::bounds`] with
+    /// `Some(j)` for every atom whose relation is unchanged.  The partition
+    /// search runs as usual over the completed monolithic table.
     ///
     /// Each request gets the plan [`plan`](Self::plan) gives it alone; only
-    /// the LP batching differs.  Each returned [`OptimizedPlan::plan_time`]
-    /// spans the whole batch call, since the batch is the unit of work a
-    /// coalesced request waits on.
+    /// the LP batching (and, with a prior, which LPs are solved at all)
+    /// differs, up to ties between equally bounded plans, which the DP
+    /// breaks by the last bits of the LP optima.  Each returned [`OptimizedPlan::plan_time`] spans the whole
+    /// batch call, since the batch is the unit of work a coalesced request
+    /// waits on.
     pub fn plan_many(
         &self,
-        requests: &[(&JoinQuery, &Catalog)],
+        requests: &[(&JoinQuery, &Catalog, Option<Prior<'_>>)],
     ) -> Vec<Result<OptimizedPlan, ExecError>> {
         let started = Instant::now();
         let preps: Vec<_> = requests
             .iter()
-            .map(|&(query, catalog)| self.prepare(query, catalog, started))
+            .map(|&(query, catalog, prior)| self.prepare(query, catalog, prior, started))
             .collect();
 
         // One flat warm-started batch across every batched request.
@@ -579,7 +588,7 @@ impl Optimizer {
         let groups: Vec<(&JoinQuery, &Catalog, &[Vec<usize>])> = preps
             .iter()
             .zip(requests)
-            .filter_map(|(prep, &(q, c))| Some((q, c, prep.as_ref().ok()?.3.as_slice())))
+            .filter_map(|(prep, &(q, c, _))| Some((q, c, prep.as_ref().ok()?.3.as_slice())))
             .collect();
         let mut grouped = self
             .estimator
@@ -589,7 +598,7 @@ impl Optimizer {
         preps
             .into_iter()
             .zip(requests)
-            .map(|(prep, &(query, catalog))| {
+            .map(|(prep, &(query, catalog, _))| {
                 let (logical, greedy, mut bounds, subset_atoms) = match prep {
                     Ok(prepared) => prepared,
                     Err(done) => return *done,
@@ -600,24 +609,34 @@ impl Optimizer {
                 for (atoms, result) in subset_atoms.iter().zip(&results) {
                     bounds.record(&logical, atoms.iter().map(|&j| 1u64 << j).sum(), result);
                 }
-                self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
+                self.finish_plan(query, catalog, &logical, &greedy, bounds, started)
             })
             .collect()
     }
 
     /// One [`plan_many`](Self::plan_many) request's share of the batch: its
-    /// join graph, greedy order, scan table and multi-atom subsets.  `Err`
-    /// carries the final answer of a request the DP cannot bound: an error,
-    /// or the greedy fallback (taken without the prewarm its bounds would
-    /// consume) for single atoms, queries past the DP gate (including >64
-    /// atoms, beyond the subset-mask width) and disconnected join graphs.
+    /// join graph, greedy order, bound table (the scans, plus every subset
+    /// `prior` proves) and the multi-atom subsets left to bound.  `Err`
+    /// carries the final answer of a request the DP cannot bound: an error
+    /// (including an `atom_map` of the wrong length), or the greedy fallback
+    /// (taken without the prewarm its bounds would consume) for single
+    /// atoms, queries past the DP gate (including >64 atoms, beyond the
+    /// subset-mask width) and disconnected join graphs.
     fn prepare(
         &self,
         query: &JoinQuery,
         catalog: &Catalog,
+        prior: Option<Prior<'_>>,
         started: Instant,
     ) -> Result<Prepared, Box<Result<OptimizedPlan, ExecError>>> {
         let m = query.n_atoms();
+        if let Some((_, atom_map)) = prior {
+            if atom_map.len() != m {
+                return Err(Box::new(Err(ExecError::NotApplicable {
+                    reason: format!("atom_map has {} entries for {m} atoms", atom_map.len()),
+                })));
+            }
+        }
         let greedy = JoinPlan::greedy_by_size(query, catalog).map_err(|e| Box::new(Err(e)))?;
         if m == 1 || m > self.config.max_dp_atoms.min(63) {
             let acyclic = crate::yannakakis::is_acyclic(query);
@@ -632,13 +651,24 @@ impl Optimizer {
                 &greedy, m, acyclic, started,
             ))));
         }
-        let bounds = self
+        let mut bounds = self
             .prewarm(query, catalog)
             .and_then(|()| Bounds::scans(query, catalog, &logical))
             .map_err(|e| Box::new(Err(e)))?;
-        let subset_atoms = bounds
-            .multi()
-            .map(|mask| logical.atoms_of(mask).collect())
+        let multi: Vec<u64> = bounds.multi().collect();
+        let fresh = match prior {
+            Some((prior, atom_map)) => reuse_prior(
+                std::slice::from_mut(&mut bounds),
+                &logical,
+                &multi,
+                &prior.log2,
+                &prior.clamp(atom_map),
+            ),
+            None => multi,
+        };
+        let subset_atoms = fresh
+            .iter()
+            .map(|&mask| logical.atoms_of(mask).collect())
             .collect();
         Ok((logical, greedy, bounds, subset_atoms))
     }
@@ -690,6 +720,10 @@ impl Optimizer {
             partition_subqueries_bounded: 0,
             partition_bound_fallbacks: 0,
             plan_time: started.elapsed(),
+            bounds: SubjoinBounds {
+                log2: HashMap::new(),
+                n_atoms: m,
+            },
         }
     }
 
@@ -703,15 +737,15 @@ impl Optimizer {
         catalog: &Catalog,
         logical: &LogicalPlan,
         greedy: &JoinPlan,
-        bounds: &Bounds,
+        bounds: Bounds,
         started: Instant,
     ) -> Result<OptimizedPlan, ExecError> {
         // Greedy order's predicted bottleneck under the same bounds (with
         // the product fallback for any cross-product prefix).
-        let greedy_cost = order_bottleneck(greedy.order(), bounds);
+        let greedy_cost = order_bottleneck(greedy.order(), &bounds);
 
         // --- DP + lowering over the monolithic bound table. ---
-        let chosen = self.choose(logical, bounds);
+        let chosen = self.choose(logical, &bounds);
         let monolithic_predicted = chosen.predicted;
         let mut physical = chosen.physical;
         let mut order = chosen.order;
@@ -727,7 +761,7 @@ impl Optimizer {
                 query,
                 catalog,
                 logical,
-                bounds,
+                &bounds,
                 predicted,
                 &mut partition_stats,
             )? {
@@ -754,6 +788,10 @@ impl Optimizer {
             partition_subqueries_bounded: partition_stats.bounded,
             partition_bound_fallbacks: partition_stats.fallbacks,
             plan_time: started.elapsed(),
+            bounds: SubjoinBounds {
+                log2: bounds.log2,
+                n_atoms: query.n_atoms(),
+            },
         })
     }
 
@@ -1156,6 +1194,21 @@ pub struct SubjoinBounds {
 }
 
 impl SubjoinBounds {
+    /// `atom_map` with every entry past this table's atoms dropped, so a
+    /// remapped mask never indexes an atom the table was not proved for.
+    fn clamp(&self, atom_map: &[Option<usize>]) -> Vec<Option<usize>> {
+        atom_map
+            .iter()
+            .map(|a| a.filter(|&old| old < self.n_atoms))
+            .collect()
+    }
+
+    /// The `log₂` bound proved for the sub-join over the atoms in `mask`
+    /// (a singleton's is its scan size), if the table holds one.
+    pub fn get(&self, mask: u64) -> Option<f64> {
+        self.log2.get(&mask).copied()
+    }
+
     /// Number of atoms of the query this table was proved for.
     pub fn n_atoms(&self) -> usize {
         self.n_atoms
@@ -1468,6 +1521,34 @@ struct Splice {
     query: JoinQuery,
     catalog: Catalog,
     delta: DeltaPlan,
+}
+
+/// Write into every table the bound `prior` proves for each of `masks`, and
+/// return the masks it does not prove.  A subset whose atoms all map
+/// through `atom_map` (`Some(old)` = carried over unchanged) is the same
+/// sub-join as the `prior` subset it remaps to, so it takes that bound.
+fn reuse_prior(
+    tables: &mut [Bounds],
+    logical: &LogicalPlan,
+    masks: &[u64],
+    prior: &HashMap<u64, f64>,
+    atom_map: &[Option<usize>],
+) -> Vec<u64> {
+    let mut fresh = Vec::new();
+    for &mask in masks {
+        let remapped = logical
+            .atoms_of(mask)
+            .try_fold(0u64, |acc, j| atom_map[j].map(|old| acc | (1u64 << old)));
+        match remapped.and_then(|old_mask| prior.get(&old_mask)) {
+            Some(&v) => {
+                for table in tables.iter_mut() {
+                    table.log2.insert(mask, v);
+                }
+            }
+            None => fresh.push(mask),
+        }
+    }
+    fresh
 }
 
 /// What [`Optimizer::choose`] proved for one bound table: the lowered plan,

@@ -1,15 +1,16 @@
-//! A concurrent plan cache: [`OptimizedPlan`]s keyed by canonicalized
-//! query shape + catalog statistics epoch.
+//! A concurrent plan cache: one [`OptimizedPlan`] generation per canonical
+//! query shape, keyed by the versions of the relations the shape reads.
 //!
 //! Planning is the expensive half of a request — an LP batch over every
 //! connected sub-join plus the bottleneck DP — and fleet workloads repeat a
 //! small set of query *shapes* endlessly.  This cache lets a repeat shape
 //! skip LP and DP entirely: the hit path is one canonicalization, one
-//! `HashMap` probe and an `Arc` clone.
+//! `HashMap` probe, one version check per relation and an `Arc` clone.
 //!
 //! ## Keying discipline
 //!
-//! The key is `(canonical shape, statistics epoch)`:
+//! A probe hits when the shape's cached generation was planned on the same
+//! versions of the relations the shape reads:
 //!
 //! * **Canonical shape** ([`canonical_shape`]): relation names in atom
 //!   order, with variables renamed `v0, v1, …` by first appearance.  Two
@@ -20,30 +21,48 @@
 //!   canon executes correctly regardless of what the variables are called
 //!   (output columns take their names from the executed query, not the
 //!   cached plan).  Query *names* are deliberately excluded.
-//! * **Statistics epoch** ([`lpb_data::Catalog::epoch`]): bounds are only
-//!   as good as the statistics behind them, so any epoch bump — a relation
-//!   replaced via [`lpb_data::Catalog::successor_with`], observed
-//!   intermediates absorbed via [`lpb_data::Catalog::absorb_observed`] —
-//!   changes the key and every stale entry misses from then on.  Epochs are
-//!   compared, never dereferenced, so stale entries are merely dead weight
-//!   until evicted, not a correctness hazard.  The corollary: one
-//!   `PlanCache` must serve **one catalog lineage** (e.g. one
-//!   [`lpb_data::SnapshotCatalog`] cell).  Epoch numbers from unrelated
-//!   catalogs are incomparable, and mixing them in one cache could alias.
-//!   Same-epoch *views* ([`lpb_data::Catalog::derive_with`]) intentionally
-//!   share entries — they are defined to carry the same statistics.
+//! * **Relation versions** ([`lpb_data::Catalog::relation_version`]) of
+//!   the distinct relations the shape reads, in atom order.  A sub-join's
+//!   bound LP reads only the ℓp-norm statistics of the relations in that
+//!   sub-join, and a shape's plan only its own relations (scan sizes,
+//!   statistics, degree-partition parts), so a plan stays exact on every
+//!   snapshot that agrees on those versions.  A write — a relation
+//!   replaced via [`lpb_data::Catalog::successor_with`], observed rows
+//!   absorbed via [`lpb_data::Catalog::absorb_observed`] — moves only the
+//!   written name's version, so it invalidates exactly the shapes that read
+//!   it; every other shape keeps hitting on the new snapshot.
 //!
-//! Capacity is bounded: inserts past [`PlanCache::with_capacity`]'s limit
-//! evict the oldest entry (insertion order), which under an epoch bump
-//! naturally cycles the dead generation out as the new one fills in.  An
-//! owner that knows its lineage's current epoch frees the dead generations
-//! at once with [`PlanCache::retain_from_epoch`].
+//! The corollary: one `PlanCache` must serve **one catalog lineage** (e.g.
+//! one [`lpb_data::SnapshotCatalog`] cell).  Versions are epochs of that
+//! lineage, and along it each relation's version only grows and moves
+//! exactly when the relation's statistics change.  Equal versions therefore
+//! mean equal statistics, and comparing versions element by element orders
+//! two generations of a shape.  Versions from unrelated catalogs are
+//! incomparable, and mixing them in one cache could alias.  Same-epoch
+//! *views* ([`lpb_data::Catalog::derive_with`]) keep the version of a name
+//! they rebind, so they intentionally share entries — they are defined to
+//! carry the same statistics.
+//!
+//! ## Generations
+//!
+//! Each shape holds one generation: a plan and the versions it was planned
+//! on.  A probe on other versions misses, and the stale generation becomes
+//! the re-plan's *prior* ([`PlanCache::prior`]): its monolithic bound table
+//! ([`OptimizedPlan::bounds`]) already proves every sub-join whose
+//! relations kept their version.  An insert replaces a generation only
+//! with one at least as new in every version.  A request admitted before a
+//! publish may finish planning after one admitted after it; its plan is
+//! returned to it (it executes on its own snapshot) but never displaces
+//! the newer generation.
+//!
+//! Capacity is bounded in shapes: an insert past
+//! [`PlanCache::with_capacity`]'s limit evicts the shape whose generation
+//! was inserted longest ago.
 
 use crate::error::ExecError;
 use crate::optimizer::{OptimizedPlan, Optimizer};
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,16 +93,43 @@ pub fn canonical_shape(query: &JoinQuery) -> String {
     out
 }
 
+/// The distinct relations `query` reads, in atom order.
+fn relations(query: &JoinQuery) -> Vec<&str> {
+    let mut names: Vec<&str> = Vec::new();
+    for atom in query.atoms() {
+        if !names.contains(&atom.relation.as_str()) {
+            names.push(&atom.relation);
+        }
+    }
+    names
+}
+
+/// `catalog`'s version of each relation `query` reads (see [`relations`]);
+/// `None` when one is missing, which no plan can be cached for.
+fn versions(query: &JoinQuery, catalog: &Catalog) -> Option<Vec<u64>> {
+    relations(query)
+        .into_iter()
+        .map(|name| catalog.relation_version(name))
+        .collect()
+}
+
+/// One shape's cached plan and the relation versions it was planned on.
+#[derive(Debug)]
+struct Generation {
+    versions: Vec<u64>,
+    plan: Arc<OptimizedPlan>,
+}
+
 /// Map + insertion queue behind the one short-lived lock.  The lock covers
 /// lookup/insert/evict only — never planning; see [`PlanCache::get_or_plan`].
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<(String, u64), Arc<OptimizedPlan>>,
-    order: VecDeque<(String, u64)>,
+    map: HashMap<String, Generation>,
+    order: VecDeque<String>,
 }
 
-/// A bounded, concurrent `(shape, epoch) → Arc<OptimizedPlan>` cache; see
-/// the module docs for the keying discipline.
+/// A bounded, concurrent `shape → (relation versions, Arc<OptimizedPlan>)`
+/// cache; see the module docs for the keying discipline.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -99,7 +145,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (oldest-insert eviction).
+    /// A cache holding at most `capacity` shapes (oldest-insert eviction).
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(Inner::default()),
@@ -109,14 +155,16 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan cached for `query`'s shape at `catalog`'s epoch.
-    /// Counts toward [`hits`](Self::hits) / [`misses`](Self::misses).
+    /// Look up the plan cached for `query`'s shape on `catalog`'s versions
+    /// of the relations it reads.  Counts toward [`hits`](Self::hits) /
+    /// [`misses`](Self::misses).
     pub fn get(&self, query: &JoinQuery, catalog: &Catalog) -> Option<Arc<OptimizedPlan>> {
-        let key = (canonical_shape(query), catalog.epoch());
-        let found = {
+        let found = versions(query, catalog).and_then(|current| {
+            let shape = canonical_shape(query);
             let inner = self.inner.lock().expect("plan cache lock poisoned");
-            inner.map.get(&key).cloned()
-        };
+            let generation = inner.map.get(&shape)?;
+            (generation.versions == current).then(|| Arc::clone(&generation.plan))
+        });
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -124,42 +172,89 @@ impl PlanCache {
         found
     }
 
-    /// Cache `plan` for `query`'s shape at `catalog`'s epoch, returning the
-    /// shared handle.  A concurrent insert of the same key wins the race
-    /// once — later inserts return the already-cached plan, so every caller
-    /// agrees on one handle per key.
+    /// The prior for re-planning `query` on `catalog`: the plan cached for
+    /// its shape (whose [`OptimizedPlan::bounds`] the re-plan reuses), and
+    /// per atom `Some(j)` when the atom's relation has the version that plan
+    /// was planned on, `None` otherwise — the `atom_map` of an
+    /// [`Optimizer::plan_many`] prior.  `None` when the shape has no cached
+    /// generation.  Not counted as a probe.
+    pub fn prior(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+    ) -> Option<(Arc<OptimizedPlan>, Vec<Option<usize>>)> {
+        let shape = canonical_shape(query);
+        let names = relations(query);
+        let inner = self.inner.lock().expect("plan cache lock poisoned");
+        let generation = inner.map.get(&shape)?;
+        let atom_map = query
+            .atoms()
+            .iter()
+            .enumerate()
+            .map(|(j, atom)| {
+                let i = names.iter().position(|n| *n == atom.relation)?;
+                let current = catalog.relation_version(&atom.relation)?;
+                (generation.versions[i] == current).then_some(j)
+            })
+            .collect();
+        Some((Arc::clone(&generation.plan), atom_map))
+    }
+
+    /// Cache `plan` for `query`'s shape on `catalog`'s relation versions,
+    /// returning the shared handle.  A concurrent insert on the same
+    /// versions wins the race once — later inserts return the
+    /// already-cached plan, so every caller agrees on one handle per
+    /// generation.  A plan older than the cached generation in any version
+    /// is returned to its caller uncached.
     pub fn insert(
         &self,
         query: &JoinQuery,
         catalog: &Catalog,
         plan: OptimizedPlan,
     ) -> Arc<OptimizedPlan> {
-        let key = (canonical_shape(query), catalog.epoch());
+        let Some(versions) = versions(query, catalog) else {
+            return Arc::new(plan);
+        };
+        let shape = canonical_shape(query);
         let mut inner = self.inner.lock().expect("plan cache lock poisoned");
-        match inner.map.entry(key.clone()) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(e) => {
-                let arc = Arc::new(plan);
-                e.insert(Arc::clone(&arc));
-                inner.order.push_back(key);
-                while inner.map.len() > self.capacity {
-                    if let Some(old) = inner.order.pop_front() {
-                        inner.map.remove(&old);
-                    } else {
-                        break;
-                    }
-                }
-                arc
+        if let Some(cached) = inner.map.get(&shape) {
+            if cached.versions == versions {
+                return Arc::clone(&cached.plan);
             }
+            if versions
+                .iter()
+                .zip(&cached.versions)
+                .any(|(new, old)| new < old)
+            {
+                return Arc::new(plan);
+            }
+            inner.order.retain(|s| *s != shape);
         }
+        let plan = Arc::new(plan);
+        inner.map.insert(
+            shape.clone(),
+            Generation {
+                versions,
+                plan: Arc::clone(&plan),
+            },
+        );
+        inner.order.push_back(shape);
+        while inner.map.len() > self.capacity {
+            let Some(oldest) = inner.order.pop_front() else {
+                break;
+            };
+            inner.map.remove(&oldest);
+        }
+        plan
     }
 
     /// The hit path composed: probe the cache, and on a miss plan with
-    /// `optimizer` and cache the result.  Returns the plan plus whether it
-    /// was a hit.  The cache lock is **never** held while planning, so a
-    /// slow cold plan never blocks other requests' hits; two concurrent
-    /// misses of the same shape may both plan, and the insert race then
-    /// converges them on one cached handle.
+    /// `optimizer` — as a delta of the shape's stale generation when there
+    /// is one ([`prior`](Self::prior)) — and cache the result.  Returns the
+    /// plan plus whether it was a hit.  The cache lock is **never** held
+    /// while planning, so a slow cold plan never blocks other requests'
+    /// hits; two concurrent misses of the same shape may both plan, and the
+    /// insert race then converges them on one cached handle.
     pub fn get_or_plan(
         &self,
         optimizer: &Optimizer,
@@ -169,19 +264,15 @@ impl PlanCache {
         if let Some(plan) = self.get(query, catalog) {
             return Ok((plan, true));
         }
-        let plan = optimizer.plan(query, catalog)?;
+        let prior = self.prior(query, catalog);
+        let prior = prior
+            .as_ref()
+            .map(|(stale, atom_map)| (&stale.bounds, atom_map.as_slice()));
+        let plan = optimizer
+            .plan_many(&[(query, catalog, prior)])
+            .pop()
+            .expect("one result per request")?;
         Ok((self.insert(query, catalog, plan), false))
-    }
-
-    /// Drop every plan cached under an epoch older than `epoch`.  Epochs of
-    /// one catalog lineage only grow, so once the lineage has published
-    /// `epoch` no probe at an older one is served from a fresh snapshot
-    /// again; the dead generation (and the part relations its partitioned
-    /// plans hold) is freed now instead of when capacity evicts it.
-    pub fn retain_from_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock().expect("plan cache lock poisoned");
-        inner.map.retain(|(_, e), _| *e >= epoch);
-        inner.order.retain(|(_, e)| *e >= epoch);
     }
 
     /// Cache probes that found a plan.
@@ -189,12 +280,13 @@ impl PlanCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache probes that found nothing (including stale-epoch probes).
+    /// Cache probes that found nothing current (including probes that
+    /// found a generation planned on other relation versions).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of plans currently cached (all epochs).
+    /// Number of shapes currently cached (one generation each).
     pub fn len(&self) -> usize {
         self.inner
             .lock()
@@ -280,9 +372,9 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// S3 invalidation, write path: plan → hit → replace a relation through
-    /// an epoch-bumping successor → the stale plan must miss and a re-plan
-    /// must be cached under the new epoch.
+    /// Invalidation, write path: plan → hit → replace a relation the shape
+    /// reads through an epoch-bumping successor → the stale plan must miss
+    /// and a re-plan must replace it as the shape's one generation.
     #[test]
     fn epoch_bump_from_relation_replace_invalidates() {
         let base = catalog();
@@ -302,7 +394,8 @@ mod tests {
         ));
         assert!(cache.get_or_plan(&optimizer, &q, &view).unwrap().1);
 
-        // An epoch-bumping successor must miss and re-plan.
+        // An epoch-bumping successor of a relation the shape reads must
+        // miss and re-plan.
         let successor = base.successor_with(RelationBuilder::binary_from_pairs(
             "E",
             "a",
@@ -311,17 +404,19 @@ mod tests {
         ));
         assert_eq!(successor.epoch(), base.epoch() + 1);
         let (fresh, hit) = cache.get_or_plan(&optimizer, &q, &successor).unwrap();
-        assert!(!hit, "stale-epoch plan served after a relation replace");
+        assert!(!hit, "stale plan served after a relation replace");
         assert!(!Arc::ptr_eq(&cold, &fresh));
-        // Both generations coexist; each epoch hits its own entry.
-        assert!(cache.get_or_plan(&optimizer, &q, &base).unwrap().1);
+        // The new generation replaced the old one: the successor hits, and
+        // the old snapshot no longer does.
         assert!(cache.get_or_plan(&optimizer, &q, &successor).unwrap().1);
-        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&q, &base).is_none());
+        assert_eq!(cache.len(), 1);
     }
 
-    /// S3 invalidation, feedback path: an `absorb_observed` epoch bump
-    /// (the adaptive executor's mid-flight statistics feedback) must
-    /// invalidate exactly like a relation replace.
+    /// Invalidation, feedback path: an `absorb_observed` epoch bump (the
+    /// adaptive executor's statistics feedback) of a relation the shape
+    /// reads must invalidate exactly like a relation replace; absorbing a
+    /// relation the shape does not read leaves the plan live.
     #[test]
     fn epoch_bump_from_absorb_observed_invalidates() {
         let base = catalog();
@@ -331,48 +426,72 @@ mod tests {
         cache.get_or_plan(&optimizer, &q, &base).unwrap();
         assert!(cache.get_or_plan(&optimizer, &q, &base).unwrap().1);
 
-        let absorbed = base
+        let max_norm = optimizer.config().max_norm;
+        let unrelated = base
             .absorb_observed(
                 RelationBuilder::binary_from_pairs("Obs", "a", "b", (0..6u64).map(|i| (i, i))),
-                optimizer.config().max_norm,
+                max_norm,
             )
             .unwrap();
-        assert_eq!(absorbed.epoch(), base.epoch() + 1);
+        assert_eq!(unrelated.epoch(), base.epoch() + 1);
+        assert!(
+            cache.get_or_plan(&optimizer, &q, &unrelated).unwrap().1,
+            "a write to a relation the shape does not read invalidated it"
+        );
+
+        let absorbed = unrelated
+            .absorb_observed(base.get("E").unwrap(), max_norm)
+            .unwrap();
+        assert_eq!(absorbed.epoch(), base.epoch() + 2);
         let (_, hit) = cache.get_or_plan(&optimizer, &q, &absorbed).unwrap();
-        assert!(!hit, "stale-epoch plan served after absorb_observed");
+        assert!(!hit, "stale plan served after absorb_observed");
         assert!(cache.get_or_plan(&optimizer, &q, &absorbed).unwrap().1);
     }
 
+    /// A request admitted on an older snapshot may finish planning after a
+    /// newer generation was cached: its plan comes back to it, uncached,
+    /// and the newer generation stays.
     #[test]
-    fn retain_from_epoch_drops_only_older_generations() {
+    fn an_older_insert_never_displaces_a_newer_generation() {
         let base = catalog();
         let cache = PlanCache::default();
         let optimizer = Optimizer::new();
         let q = JoinQuery::triangle("E", "E", "E");
         let p = JoinQuery::path(&["E", "E"]);
-        cache.get_or_plan(&optimizer, &q, &base).unwrap();
-        cache.get_or_plan(&optimizer, &p, &base).unwrap();
         let successor = base.successor_with(RelationBuilder::binary_from_pairs(
             "E",
             "a",
             "b",
             (0..4u64).map(|i| (i, i + 1)),
         ));
-        cache.get_or_plan(&optimizer, &q, &successor).unwrap();
-        assert_eq!(cache.len(), 3);
-        cache.retain_from_epoch(successor.epoch());
-        assert_eq!(cache.len(), 1);
+        let (newer, _) = cache.get_or_plan(&optimizer, &q, &successor).unwrap();
+        let late = cache.insert(&q, &base, optimizer.plan(&q, &base).unwrap());
+        assert!(!Arc::ptr_eq(&late, &newer));
+        assert!(Arc::ptr_eq(&cache.get(&q, &successor).unwrap(), &newer));
         assert!(cache.get(&q, &base).is_none());
-        assert!(cache.get(&q, &successor).is_some());
-        // The insertion queue forgot the dropped keys too: filling to
-        // capacity evicts live entries only in insertion order.
-        let small = PlanCache::with_capacity(1);
+        assert_eq!(cache.len(), 1);
+        // A stale probe still gets the newer generation as a prior, with
+        // every atom marked changed (its relation's version differs).
+        let (prior, atom_map) = cache.prior(&q, &base).unwrap();
+        assert!(Arc::ptr_eq(&prior, &newer));
+        assert_eq!(atom_map, vec![None; 3]);
+        // Racing inserts on one snapshot converge on the first handle.
+        let first = cache.insert(&p, &successor, optimizer.plan(&p, &successor).unwrap());
+        let second = cache.insert(&p, &successor, optimizer.plan(&p, &successor).unwrap());
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.len(), 2);
+        // A newer generation replaces the older one and re-queues its
+        // shape: at capacity the other shape is evicted first.
+        let small = PlanCache::with_capacity(2);
         small.get_or_plan(&optimizer, &q, &base).unwrap();
-        small.retain_from_epoch(successor.epoch());
+        small.get_or_plan(&optimizer, &p, &base).unwrap();
         small.get_or_plan(&optimizer, &q, &successor).unwrap();
-        small.get_or_plan(&optimizer, &p, &successor).unwrap();
-        assert_eq!(small.len(), 1);
-        assert!(small.get(&p, &successor).is_some());
+        assert_eq!(small.len(), 2);
+        small
+            .get_or_plan(&optimizer, &JoinQuery::path(&["E", "E", "E"]), &base)
+            .unwrap();
+        assert!(small.get(&q, &successor).is_some());
+        assert!(small.get(&p, &base).is_none());
     }
 
     #[test]

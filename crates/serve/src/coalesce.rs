@@ -17,13 +17,16 @@ use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use lpb_exec::OptimizedPlan;
 use lpb_lp::SolverStats;
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// How long a follower waits for its round's leader before giving up.  A
-/// leader plans synchronously, so hitting this means the leader thread died
-/// or the batch wedged — a bug, not a load condition.
+/// leader plans synchronously and publishes a result even when planning
+/// panics, so hitting this means the batch wedged — a bug, not a load
+/// condition.
 const ROUND_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One gather round: the requests collected during the window, and the
@@ -107,6 +110,10 @@ impl Coalescer {
     /// case `plan_batch` is invoked once with the entire frozen batch, and
     /// must return one result per batch entry, positionally), or by the
     /// round's leader otherwise.
+    ///
+    /// If `plan_batch` panics, every member of the round — followers and
+    /// leader alike — gets a [`ServeError`] at once, and the panic then
+    /// resumes on the leader's thread.  The next round plans normally.
     pub fn submit<F>(
         &self,
         query: JoinQuery,
@@ -114,6 +121,30 @@ impl Coalescer {
         plan_batch: F,
     ) -> Result<CoalescedPlan, ServeError>
     where
+        F: FnOnce(&[(JoinQuery, Arc<Catalog>)]) -> Vec<Result<Arc<OptimizedPlan>, ServeError>>,
+    {
+        let window = self.window;
+        let gather = move || {
+            if !window.is_zero() {
+                std::thread::sleep(window);
+            }
+        };
+        self.submit_with(query, catalog, gather, plan_batch)
+    }
+
+    /// [`submit`](Self::submit) with the leader's gather step as a seam:
+    /// `gather` runs on the leader while its round is open (followers can
+    /// join), in place of waiting out the window.  Rendezvous tests hold a
+    /// round open on it.
+    fn submit_with<G, F>(
+        &self,
+        query: JoinQuery,
+        catalog: Arc<Catalog>,
+        gather: G,
+        plan_batch: F,
+    ) -> Result<CoalescedPlan, ServeError>
+    where
+        G: FnOnce(),
         F: FnOnce(&[(JoinQuery, Arc<Catalog>)]) -> Vec<Result<Arc<OptimizedPlan>, ServeError>>,
     {
         // Join the open round, or open one and lead it.  A follower pushes
@@ -146,9 +177,7 @@ impl Coalescer {
         };
 
         if leader {
-            if !self.window.is_zero() {
-                std::thread::sleep(self.window);
-            }
+            gather();
             // Seal the round: later arrivals open a fresh one.
             {
                 let mut current = self.current.lock().expect("coalescer lock poisoned");
@@ -170,13 +199,31 @@ impl Coalescer {
 
             // Plan outside every lock; measure the batch's solver work as
             // a thread-local delta (exact: a parallel batch estimator
-            // credits the work of its worker threads back to this one).
-            let (results, stats) = SolverStats::on_thread(|| plan_batch(&requests));
-            debug_assert_eq!(results.len(), requests.len());
+            // credits the work of its worker threads back to this one).  A
+            // panic is caught so the followers can be failed at once.
+            let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                SolverStats::on_thread(|| plan_batch(&requests))
+            }));
+            let (published, panic) = match planned {
+                Ok(done) => (done, None),
+                Err(payload) => {
+                    let error = ServeError::new(format!(
+                        "planning the coalesced batch panicked: {}",
+                        panic_message(&*payload)
+                    ));
+                    let results = vec![Err(error); requests.len()];
+                    ((results, SolverStats::default()), Some(payload))
+                }
+            };
+            debug_assert_eq!(published.0.len(), requests.len());
 
             let mut st = round.state.lock().expect("round lock poisoned");
-            st.results = Some((results, stats));
+            st.results = Some(published);
             round.cv.notify_all();
+            if let Some(payload) = panic {
+                drop(st);
+                std::panic::resume_unwind(payload);
+            }
             let (results, stats) = st.results.as_ref().expect("just published");
             let plan = results[index].clone()?;
             Ok(CoalescedPlan {
@@ -228,6 +275,15 @@ impl Coalescer {
     }
 }
 
+/// The message a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +311,12 @@ mod tests {
         let out = coalescer
             .submit(q.clone(), Arc::clone(&catalog), |batch| {
                 optimizer
-                    .plan_many(&batch.iter().map(|(q, c)| (q, &**c)).collect::<Vec<_>>())
+                    .plan_many(
+                        &batch
+                            .iter()
+                            .map(|(q, c)| (q, &**c, None))
+                            .collect::<Vec<_>>(),
+                    )
                     .into_iter()
                     .map(|r| r.map(Arc::new).map_err(Into::into))
                     .collect()
@@ -268,6 +329,73 @@ mod tests {
         assert_eq!(coalescer.batches(), 1);
         assert_eq!(coalescer.coalesced_requests(), 1);
         assert_eq!(coalescer.multi_request_batches(), 0);
+    }
+
+    /// Requests in the currently open round (zero when none is open).
+    fn open_round_len(coalescer: &Coalescer) -> usize {
+        let current = coalescer.current.lock().unwrap();
+        current
+            .as_ref()
+            .map_or(0, |round| round.state.lock().unwrap().requests.len())
+    }
+
+    /// Fault injection: the leader's `plan_batch` panics with a follower in
+    /// its round.  The leader holds the round open (rendezvous, no timing)
+    /// until the follower has joined; the follower must then get an `Err`
+    /// naming the panic — not the round timeout — the panic must resume on
+    /// the leader, and the next round must plan normally.
+    #[test]
+    fn a_panicking_leader_fails_its_followers_fast() {
+        let coalescer = Coalescer::new(Duration::ZERO);
+        let optimizer = Optimizer::new();
+        let catalog = catalog();
+        let q = JoinQuery::triangle("E", "E", "E");
+        let plan_batch = |batch: &[(JoinQuery, Arc<Catalog>)]| {
+            optimizer
+                .plan_many(
+                    &batch
+                        .iter()
+                        .map(|(q, c)| (q, &**c, None))
+                        .collect::<Vec<_>>(),
+                )
+                .into_iter()
+                .map(|r| r.map(Arc::new).map_err(Into::into))
+                .collect()
+        };
+        let (opened_tx, opened_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                let hold_open = || {
+                    opened_tx.send(()).unwrap();
+                    while open_round_len(&coalescer) < 2 {
+                        std::thread::yield_now();
+                    }
+                };
+                coalescer.submit_with(q.clone(), Arc::clone(&catalog), hold_open, |_| {
+                    panic!("injected planner fault")
+                })
+            });
+            opened_rx.recv().unwrap();
+            let follower = scope.spawn(|| {
+                coalescer.submit(q.clone(), Arc::clone(&catalog), |_| {
+                    unreachable!("a follower never plans")
+                })
+            });
+            let error = follower.join().unwrap().unwrap_err();
+            assert!(
+                error.message().contains("injected planner fault"),
+                "follower got {error}"
+            );
+            assert!(leader.join().is_err(), "the panic must reach the leader");
+        });
+        assert_eq!(coalescer.batches(), 1);
+        assert_eq!(coalescer.coalesced_requests(), 2);
+
+        let next = coalescer.submit(q, catalog, plan_batch).unwrap();
+        assert!(next.leader);
+        assert_eq!(next.batch_size, 1);
+        assert!(next.plan.predicted_log2_cost.is_finite());
+        assert_eq!(coalescer.batches(), 2);
     }
 
     /// Hold the leader in a generous window while followers join, then
@@ -298,7 +426,10 @@ mod tests {
                         .submit(q, catalog, |batch| {
                             optimizer
                                 .plan_many(
-                                    &batch.iter().map(|(q, c)| (q, &**c)).collect::<Vec<_>>(),
+                                    &batch
+                                        .iter()
+                                        .map(|(q, c)| (q, &**c, None))
+                                        .collect::<Vec<_>>(),
                                 )
                                 .into_iter()
                                 .map(|r| r.map(Arc::new).map_err(Into::into))

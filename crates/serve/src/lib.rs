@@ -9,18 +9,25 @@
 //! *per-fleet* amortization.  Three layers:
 //!
 //! 1. **Plan cache** ([`lpb_exec::PlanCache`], owned by [`QueryService`]) —
-//!    [`lpb_exec::OptimizedPlan`]s keyed by canonicalized query shape +
-//!    catalog statistics epoch.  The hit path skips LP and DP entirely:
+//!    one [`lpb_exec::OptimizedPlan`] per canonicalized query shape, keyed
+//!    by the versions ([`lpb_data::Catalog::relation_version`]) of the
+//!    relations the shape reads.  The hit path skips LP and DP entirely:
 //!    one canonicalization, one map probe, one `Arc` clone.
 //!
 //!    *Cache keying discipline*: the shape canon renames variables by
 //!    first appearance and drops query names, so isomorphic queries from
-//!    different users share one entry; the epoch half of the key means any
-//!    statistics change — a relation replaced, observed intermediates
-//!    absorbed by the adaptive executor — invalidates every stale entry by
-//!    construction (stale keys simply never match again).  One cache
-//!    serves one catalog lineage; see `lpb_exec::plan_cache` for the full
-//!    argument.
+//!    different users share one entry.  A sub-join's bound LP reads only
+//!    the statistics of its own relations, so a write — a relation
+//!    replaced, observed intermediates absorbed by the adaptive executor —
+//!    moves only the written relation's version and invalidates only the
+//!    shapes that read it; every other shape keeps hitting on the new
+//!    snapshot.  A shape that misses this way re-plans as a **delta** of
+//!    its stale plan: the stale plan's bound table proves every sub-join
+//!    over unchanged relations, and only the sub-joins over the written
+//!    relation are re-solved (the partition search then runs as usual).
+//!    A re-plan replaces the shape's stale plan, and a plan planned on an
+//!    older snapshot never displaces a newer one.  One cache serves one
+//!    catalog lineage; see `lpb_exec::plan_cache` for the full argument.
 //!
 //! 2. **Snapshot catalog** ([`lpb_data::SnapshotCatalog`]) — readers grab
 //!    an `Arc<Catalog>` from an epoch-swapped cell and run their whole
@@ -49,8 +56,10 @@
 //!    batch on its own thread — the service estimator is sequential, so
 //!    [`lpb_lp::SolverStats::thread_snapshot`] deltas give exact
 //!    pivots-per-batch — and followers are woken with their shared
-//!    `Arc`'d plans.  A window of zero disables gathering without
-//!    changing semantics.
+//!    `Arc`'d plans.  If planning panics, every member of the round gets
+//!    a [`ServeError`] at once and the panic resumes on the leader, so no
+//!    follower waits out the round timeout.  A window of zero disables
+//!    gathering without changing semantics.
 //!
 //! Entry points: [`QueryService`] (shared, `Arc` it across threads) and
 //! [`Worker`] (one per serving thread; adds the lock-free

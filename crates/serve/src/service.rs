@@ -3,14 +3,16 @@
 //!
 //! A request's life: grab **one** catalog snapshot (lock-free via a
 //! worker's [`SnapshotReader`], or a pointer-store-guarded load otherwise)
-//! → probe the plan cache under `(shape canon, snapshot epoch)` → on a hit,
-//! execute immediately (zero LP work) → on a miss, enter the
-//! [`Coalescer`]'s gather window and receive the plan from the round's
-//! batch → execute the certified plan **on the admission snapshot** in the
-//! configured [`ExecMode`].  Writers never disturb any of this: they build
-//! successor catalogs aside and publish through the
-//! [`SnapshotCatalog`] cell, which bumps the statistics epoch and thereby
-//! invalidates every stale plan-cache entry.
+//! → probe the plan cache under the shape canon and the snapshot's versions
+//! of the relations the shape reads → on a hit, execute immediately (zero
+//! LP work) → on a miss, enter the [`Coalescer`]'s gather window and
+//! receive the plan from the round's batch, where a shape with a stale
+//! cached generation re-plans as a delta of it → execute the certified
+//! plan **on the admission snapshot** in the configured [`ExecMode`].
+//! Writers never disturb any of this: they build successor catalogs aside
+//! and publish through the [`SnapshotCatalog`] cell, which moves the
+//! written relation's version and thereby invalidates exactly the cached
+//! plans of the shapes that read it.
 
 use crate::coalesce::Coalescer;
 use crate::ServeError;
@@ -32,8 +34,9 @@ pub struct ServeConfig {
     /// The coalescer's gather window: how long a round's leader waits for
     /// followers before planning the batch.  Zero disables coalescing.
     pub gather_window: Duration,
-    /// Plan-cache capacity (plans; oldest-insert eviction).  Every coalesced
-    /// re-plan also drops the plans of superseded epochs.
+    /// Plan-cache capacity in query shapes (oldest-insert eviction).  The
+    /// cache holds one generation per shape: a re-plan after a write
+    /// replaces the shape's stale plan rather than adding to it.
     pub plan_cache_capacity: usize,
     /// Execution mode for served queries.
     pub exec_mode: ExecMode,
@@ -84,10 +87,11 @@ pub struct ServeStats {
     pub requests: u64,
     /// Plan-cache probes that found a plan.
     pub cache_hits: u64,
-    /// Plan-cache probes that missed (stale-epoch probes included).
+    /// Plan-cache probes that missed (probes of a shape whose relations
+    /// changed since it was cached included).
     pub cache_misses: u64,
-    /// Plans currently cached.  Each re-plan drops the plans of superseded
-    /// epochs, so this stays near the number of distinct shapes served.
+    /// Plans currently cached: one per distinct shape served (up to the
+    /// capacity), since a re-plan replaces its shape's stale generation.
     pub cached_plans: u64,
     /// Coalescing rounds planned.
     pub batches: u64,
@@ -178,9 +182,9 @@ impl QueryService {
     }
 
     /// Replace one relation: publishes an epoch-bumped successor snapshot.
-    /// In-flight requests finish on their admission snapshots; the epoch
-    /// bump invalidates every cached plan built on the old statistics.
-    /// Returns the new epoch.
+    /// In-flight requests finish on their admission snapshots; the
+    /// relation's new version invalidates the cached plans of the shapes
+    /// that read it, and no others.  Returns the new epoch.
     pub fn replace_relation(&self, relation: impl Into<Arc<Relation>>) -> u64 {
         self.cell.replace_relation(relation)
     }
@@ -229,9 +233,12 @@ impl QueryService {
     }
 
     /// The plan half of a request: cache probe, then coalesced batch on a
-    /// miss.  Duplicate shapes inside one batch are each planned (the
-    /// second re-solves warm from the first's LP snapshots) and converge on
-    /// one cached handle at insert.
+    /// miss.  A batch member whose shape has a stale cached generation
+    /// re-plans as a delta of it: the stale plan's bound table proves every
+    /// sub-join over relations whose version is unchanged, and only the
+    /// rest join the batch's LPs.  Duplicate shapes inside one batch are
+    /// each planned (the second re-solves warm from the first's LP
+    /// snapshots) and converge on one cached handle at insert.
     fn plan_on(
         &self,
         query: &JoinQuery,
@@ -253,22 +260,29 @@ impl QueryService {
         let coalesced = self
             .coalescer
             .submit(query.clone(), Arc::clone(snapshot), |batch| {
-                let refs: Vec<(&JoinQuery, &Catalog)> =
-                    batch.iter().map(|(q, c)| (q, &**c)).collect();
-                let plans = self
-                    .optimizer
-                    .plan_many(&refs)
+                let priors: Vec<_> = batch
+                    .iter()
+                    .map(|(q, c)| self.plan_cache.prior(q, c))
+                    .collect();
+                let requests: Vec<_> = batch
+                    .iter()
+                    .zip(&priors)
+                    .map(|((q, c), prior)| {
+                        let prior = prior
+                            .as_ref()
+                            .map(|(stale, atom_map)| (&stale.bounds, atom_map.as_slice()));
+                        (q, &**c, prior)
+                    })
+                    .collect();
+                self.optimizer
+                    .plan_many(&requests)
                     .into_iter()
                     .zip(batch)
                     .map(|(result, (q, c))| match result {
                         Ok(plan) => Ok(self.plan_cache.insert(q, c, plan)),
                         Err(e) => Err(ServeError::from(e)),
                     })
-                    .collect();
-                // Plans of superseded epochs can never hit again; drop them
-                // (each requester already holds its own handle).
-                self.plan_cache.retain_from_epoch(self.cell.epoch());
-                plans
+                    .collect()
             })?;
         Ok(QueryResponse {
             output_size: 0,
@@ -391,8 +405,8 @@ mod tests {
         assert!(service.execute(&q).unwrap().cache_hit);
     }
 
-    /// S3, feedback path: an `absorb_observed` publish must invalidate
-    /// exactly like a replace.
+    /// Feedback path: an `absorb_observed` publish of a relation the shape
+    /// reads must invalidate exactly like a replace.
     #[test]
     fn absorb_observed_invalidates_served_plans() {
         let service = QueryService::with_config(
@@ -405,7 +419,49 @@ mod tests {
         let q = JoinQuery::triangle("E", "E", "E");
         let before = service.execute(&q).unwrap();
         assert!(service.execute(&q).unwrap().cache_hit);
-        let epoch = service
+        let observed = service.snapshot().get("E").unwrap();
+        let epoch = service.absorb_observed(observed).unwrap();
+        assert_eq!(epoch, before.epoch + 1);
+        let after = service.execute(&q).unwrap();
+        assert!(!after.cache_hit, "stale plan served after absorb_observed");
+        // Same base data, so the answer is unchanged — only the plan was
+        // re-proved against the new statistics.
+        assert_eq!(after.output_size, before.output_size);
+        assert_eq!(after.certificate_violations, 0);
+    }
+
+    /// The other direction: a write to a relation a shape does not read
+    /// leaves its plan live.  The hit executes on the new snapshot, with
+    /// the right answer and zero certificate violations, while a shape that
+    /// reads the written relation misses.
+    #[test]
+    fn a_write_to_an_unrelated_relation_keeps_serving_hits() {
+        let mut base = catalog();
+        base.insert(RelationBuilder::binary_from_pairs(
+            "F",
+            "a",
+            "b",
+            (0..30u64).map(|i| (i % 12, (i * 7 + 1) % 12)),
+        ));
+        let service = QueryService::with_config(
+            ServeConfig {
+                gather_window: Duration::ZERO,
+                ..ServeConfig::default()
+            },
+            base,
+        );
+        let reads_e = JoinQuery::path(&["E", "E"]);
+        let reads_f = JoinQuery::path(&["E", "F"]);
+        let cold = service.execute(&reads_e).unwrap();
+        service.execute(&reads_f).unwrap();
+
+        let epoch = service.replace_relation(RelationBuilder::binary_from_pairs(
+            "F",
+            "a",
+            "b",
+            (0..5u64).map(|i| (i, i + 1)),
+        ));
+        let absorbed = service
             .absorb_observed(RelationBuilder::binary_from_pairs(
                 "Obs",
                 "x",
@@ -413,12 +469,26 @@ mod tests {
                 (0..5u64).map(|i| (i, i)),
             ))
             .unwrap();
-        assert_eq!(epoch, before.epoch + 1);
-        let after = service.execute(&q).unwrap();
-        assert!(!after.cache_hit, "stale plan served after absorb_observed");
-        // Same base data, so the answer is unchanged — only the plan was
-        // re-proved against the new statistics epoch.
-        assert_eq!(after.output_size, before.output_size);
+        assert_eq!(absorbed, epoch + 1);
+        let snapshot = service.snapshot();
+        let hot = service.execute(&reads_e).unwrap();
+        assert!(hot.cache_hit, "a write to F invalidated a shape over E");
+        assert!(Arc::ptr_eq(&hot.plan, &cold.plan));
+        assert_eq!(hot.epoch, absorbed);
+        assert_eq!(
+            hot.output_size as u128,
+            lpb_exec::true_cardinality(&reads_e, &snapshot).unwrap()
+        );
+        assert_eq!(hot.certificate_violations, 0);
+
+        let replanned = service.execute(&reads_f).unwrap();
+        assert!(!replanned.cache_hit, "stale plan served after replacing F");
+        assert_eq!(
+            replanned.output_size as u128,
+            lpb_exec::true_cardinality(&reads_f, &snapshot).unwrap()
+        );
+        assert_eq!(replanned.certificate_violations, 0);
+        assert_eq!(service.stats().cached_plans, 2);
     }
 
     /// Publishes leave no dead plans behind: after each re-plan the cache

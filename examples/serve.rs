@@ -1,7 +1,7 @@
 //! The `lpb-serve` query service end to end: a resident [`QueryService`]
 //! over the JOB-like catalog, serving threads with per-thread snapshot
-//! readers, the plan cache's hit path, a live epoch-bumping publish, and
-//! cross-query LP coalescing.
+//! readers, the plan cache's hit path, a live publish, and cross-query LP
+//! coalescing.
 //!
 //! The walkthrough:
 //!
@@ -10,11 +10,12 @@
 //!    probe, one `Arc` clone (watch `plan_time` collapse and `plan_stats`
 //!    go to zero pivots).
 //! 2. **Publish** — replacing a relation builds a successor catalog aside
-//!    and publishes it with a pointer swap.  The statistics epoch bumps,
-//!    so every cached plan keyed to the old epoch silently stops matching;
-//!    the next request re-plans against the new statistics and in-flight
-//!    requests finish on their admission snapshots (zero certificate
-//!    violations, by construction).
+//!    and publishes it with a pointer swap.  The relation's version moves,
+//!    so the cached plans of the shapes that read it stop matching; the
+//!    next request for such a shape re-plans against the new statistics,
+//!    reusing its stale plan's bounds for every sub-join over unchanged
+//!    relations.  In-flight requests finish on their admission snapshots
+//!    (zero certificate violations, by construction).
 //! 3. **Coalescing** — eight client threads fire cache-missing shapes at
 //!    once; requests landing in the same gather window are planned as one
 //!    warm-started [`Optimizer::plan_many`] batch
@@ -70,8 +71,8 @@ fn main() -> Result<(), ServeError> {
         Arc::ptr_eq(&cold.plan, &hot.plan),
     );
 
-    // 2. A publish bumps the statistics epoch and invalidates every cached
-    //    plan — the next request re-plans against the new snapshot.
+    // 2. A publish of a relation `q` reads invalidates `q`'s cached plan —
+    //    the next request re-plans against the new snapshot.
     let relation = service.snapshot().get(&q.atoms()[0].relation)?;
     let epoch = service.replace_relation(relation);
     let replanned = service.execute(q)?;

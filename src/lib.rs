@@ -19,8 +19,9 @@
 //! * [`exec`] ([`lpb_exec`]) — hash joins, Yannakakis counting, worst-case
 //!   optimal joins, and the degree-partitioned evaluation of §2.2;
 //! * [`serve`] ([`lpb_serve`]) — the long-lived concurrent query service:
-//!   plan caching keyed by query shape + statistics epoch, epoch-swapped
-//!   snapshot catalogs, and cross-query LP coalescing;
+//!   plan caching keyed by query shape + the versions of the relations it
+//!   reads, delta re-plans after a write, epoch-swapped snapshot catalogs,
+//!   and cross-query LP coalescing;
 //! * [`datagen`] ([`lpb_datagen`]) — synthetic SNAP-like graphs,
 //!   (α,β)-relations and the JOB-like acyclic workload.
 //!
