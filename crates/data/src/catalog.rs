@@ -335,16 +335,6 @@ impl Catalog {
         }
     }
 
-    /// [`derive_with`](Self::derive_with) at the next epoch, with the
-    /// rebound name's version moved to it.
-    fn derive_next(&self, relation: Arc<Relation>) -> Catalog {
-        let name = relation.name().to_string();
-        let mut next = self.derive_with(relation);
-        next.epoch = self.epoch + 1;
-        next.versions.insert(name, next.epoch);
-        next
-    }
-
     /// Like [`derive_with`](Self::derive_with), but **bumps the statistics
     /// epoch**: the successor is a genuinely newer catalog version, not a
     /// same-epoch view.  This is the write path of a long-lived service —
@@ -358,7 +348,12 @@ impl Catalog {
     /// whose per-part sub-catalogs deliberately *keep* the epoch (they are
     /// alternate views of the same statistics version).
     pub fn successor_with(&self, relation: impl Into<Arc<Relation>>) -> Catalog {
-        self.derive_next(relation.into())
+        let relation = relation.into();
+        let name = relation.name().to_string();
+        let mut successor = self.derive_with(relation);
+        successor.epoch = self.epoch + 1;
+        successor.versions.insert(name, successor.epoch);
+        successor
     }
 
     /// Feed an **observed** relation (a materialized intermediate whose
@@ -381,7 +376,7 @@ impl Catalog {
     ) -> Result<Catalog, DataError> {
         let relation = relation.into();
         let name = relation.name().to_string();
-        let derived = self.derive_next(relation);
+        let derived = self.successor_with(relation);
         let set = crate::stats::StatisticsCollector::standard(max_norm)
             .materialize_relation(&derived, &name)?;
         {
